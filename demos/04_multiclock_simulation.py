@@ -1,4 +1,4 @@
-"""Cross-checking the model with the multi-clock discrete-event simulator.
+"""Cross-checking the model with the multi-clock simulator.
 
 Every task runs on its own integer-picosecond clock; channels are
 depth-bounded FIFOs with independent read/write clocks.  Steady-state
@@ -27,8 +27,7 @@ for name, f_base in (("conv2d.json", 250), ("vms.json", 110)):
         err = abs(rep.throughput_msps - analytic) / analytic
         print(
             f"  {strategy:7s}: simulated {float(rep.throughput_msps):8.3f} msps, "
-            f"analytic {float(analytic):8.3f}, error {float(err) * 100:6.3f} %, "
-            f"{rep.events_processed} events"
+            f"analytic {float(analytic):8.3f}, error {float(err) * 100:6.3f} %"
         )
     print()
 

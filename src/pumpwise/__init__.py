@@ -5,7 +5,7 @@ while scaling its pipeline initiation interval by the same factor: the
 task's throughput is unchanged, but resource sharing now serves several
 operations with one functional unit.  This package models that tradeoff
 (II lower bounds, binding, factor selection, Pareto sweeps) and checks
-every prediction with a multi-clock discrete-event simulator.
+every prediction with a multi-clock simulator.
 """
 
 from .binding import BindingResult, TaskBinding, bind, dsp_constraint, fu_count, scaled_partition

@@ -119,6 +119,14 @@ def _plan_table(dfg: Dfg, plan: PumpPlan) -> str:
     return _table(["task", "factor", "f_mhz", "ii", "dsp"], rows)
 
 
+def _regression_error(prefix: str, err: Fraction) -> None:
+    print(
+        f"error: {prefix}simulated throughput deviates {float(err) * 100:.3f} % "
+        f"from the analytic model (limit 5 %)",
+        file=sys.stderr,
+    )
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -185,13 +193,6 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
     report = simulate(dfg, plan, cfg, trace_path=args.trace)
-    if report.stalled:
-        print(
-            f"error: simulation stalled at task {report.stall_task} "
-            f"(t={report.stall_time_ps} ps)",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
     analytic = compute_throughput(dfg, plan)
     err = abs(report.throughput_msps - analytic) / analytic
     print(f"throughput: {_fmt_msps(report.throughput_msps)} msps")
@@ -204,11 +205,7 @@ def cmd_simulate(args) -> int:
     for name, n in report.firings.items():
         print(f"  {name}: {n}")
     if err > SIM_REGRESSION_LIMIT:
-        print(
-            f"error: simulated throughput deviates {float(err) * 100:.3f} % "
-            f"from the analytic model (limit 5 %)",
-            file=sys.stderr,
-        )
+        _regression_error("", err)
         return EXIT_SIM_REGRESSION
     return EXIT_OK
 
@@ -229,11 +226,13 @@ def cmd_report(args) -> int:
 
     sim_lines = ["strategy,analytic_msps,simulated_msps,rel_err_pct"]
     sim_rows = []
+    errs = {}
     for s, plan in plans.items():
         warmup = args.warmup if args.warmup is not None else default_warmup(dfg, plan)
         report = simulate(dfg, plan, SimConfig(args.iterations, warmup))
         analytic = compute_throughput(dfg, plan)
         err = abs(report.throughput_msps - analytic) / analytic
+        errs[s] = err
         sim_lines.append(
             f"{s},{_fmt_msps(analytic)},{_fmt_msps(report.throughput_msps)},"
             f"{float(err) * 100:.3f}"
@@ -263,7 +262,10 @@ def cmd_report(args) -> int:
     text = "\n".join(summary) + "\n"
     (outdir / "summary.txt").write_text(text)
     sys.stdout.write(text)
-    return EXIT_OK
+    failed = [s for s, err in errs.items() if err > SIM_REGRESSION_LIMIT]
+    for s in failed:
+        _regression_error(f"{s}: ", errs[s])
+    return EXIT_SIM_REGRESSION if failed else EXIT_OK
 
 
 # --- argument parsing -------------------------------------------------------
@@ -310,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="measure a plan with the discrete-event simulator")
+    p = sub.add_parser("simulate", help="measure a plan with the multi-clock simulator")
     p.add_argument("dfg")
     p.add_argument("plan", help="plan file produced by optimize")
     p.add_argument("--iterations", type=int, default=10000)
     p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--trace", default=None, help="write a per-event CSV trace")
+    p.add_argument("--trace", default=None, help="write a CSV trace of every start and completion")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="plans, sweep, and simulation cross-check in one bundle")

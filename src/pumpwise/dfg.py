@@ -21,6 +21,7 @@ from typing import Mapping, Sequence, Union
 
 import networkx as nx
 
+from .codec import load_json, num_from_json, num_to_json
 from .errors import ParseError, ValidationError
 from .ii import Ddg, Dep, Op, Rational, as_fraction, min_ii
 from .ii import pipeline_depth as ddg_pipeline_depth
@@ -247,7 +248,7 @@ def load_dfg(path: Union[str, Path], f_base_mhz: Rational | None = None) -> Dfg:
     When ``f_base_mhz`` is given, tasks carrying both a ddg and a declared
     ii_min_base are cross-checked at that clock.
     """
-    data = _load_json(path)
+    data = load_json(path)
     dfg = dfg_from_dict(data)
     dfg.validate(f_base_mhz)
     return dfg
@@ -258,7 +259,7 @@ def save_dfg(dfg: Dfg, path: Union[str, Path]) -> None:
 
 
 def load_characterization(path: Union[str, Path]) -> Characterization:
-    data = _load_json(path)
+    data = load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: characterization must be an object")
     entries = {}
@@ -293,7 +294,7 @@ def dfg_to_dict(dfg: Dfg) -> dict:
     ]
     out["device_dsp_total"] = dfg.device_dsp_total
     if dfg.memory_bound_msps is not None:
-        out["memory_bound_msps"] = _num_out(as_fraction(dfg.memory_bound_msps))
+        out["memory_bound_msps"] = num_to_json(dfg.memory_bound_msps)
     return out
 
 
@@ -322,7 +323,7 @@ def _task_to_dict(t: Task) -> dict:
         "n_op_dsp": t.n_op_dsp,
         "n_op_mem": t.n_op_mem,
         "base_partition_factor": t.base_partition_factor,
-        "f_max_mhz": _num_out(as_fraction(t.f_max_mhz)),
+        "f_max_mhz": num_to_json(t.f_max_mhz),
     }
     if t.ii_min_base is not None:
         out["ii_min_base"] = t.ii_min_base
@@ -331,7 +332,7 @@ def _task_to_dict(t: Task) -> dict:
     if t.ddg is not None:
         out["ddg"] = {
             "ops": [
-                {"id": op.id, "class": op.cls, "delay_ns": _num_out(as_fraction(op.delay_ns))}
+                {"id": op.id, "class": op.cls, "delay_ns": num_to_json(op.delay_ns)}
                 for op in t.ddg.ops
             ],
             "deps": [
@@ -373,19 +374,6 @@ def _ddg_from_dict(rec, where: str) -> Ddg:
     return Ddg(ops, deps)
 
 
-def _load_json(path: Union[str, Path]):
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise ParseError(f"{path}: {e.strerror or e}") from None
-    try:
-        # decimal literals become exact rationals instead of binary floats
-        return json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-
-
 def _field(rec: dict, key: str, typ, where: str):
     if key not in rec:
         raise ParseError(f"{where}.{key}: missing required field")
@@ -411,14 +399,4 @@ def _num(rec: dict, key: str, where: str, default=_MISSING):
         if default is _MISSING:
             raise ParseError(f"{where}.{key}: missing required field")
         return default
-    v = rec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
-        raise ParseError(f"{where}.{key}: expected a number")
-    return as_fraction(v)
-
-
-def _num_out(x: Fraction):
-    """JSON-friendly number: int when integral, float otherwise."""
-    if x.denominator == 1:
-        return int(x)
-    return float(x)
+    return num_from_json(rec[key], f"{where}.{key}")

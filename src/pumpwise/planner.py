@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .binding import bind, check_plan_coverage
+from .codec import load_json, num_from_json, num_to_json
 from .dfg import Dfg
 from .errors import InfeasibleError, ParseError, ValidationError
 from .ii import Rational, as_fraction
@@ -223,9 +224,9 @@ def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[Swee
 def plan_to_dict(plan: PumpPlan) -> dict:
     return {
         "strategy": plan.strategy,
-        "kernel_base_clock_mhz": _num_out(as_fraction(plan.kernel_base_clock_mhz)),
+        "kernel_base_clock_mhz": num_to_json(plan.kernel_base_clock_mhz),
         "tasks": {
-            name: {"m": e.m, "f_mhz": _num_out(as_fraction(e.f_mhz)), "ii": e.ii}
+            name: {"m": e.m, "f_mhz": num_to_json(e.f_mhz), "ii": e.ii}
             for name, e in plan.tasks.items()
         },
     }
@@ -237,9 +238,7 @@ def plan_from_dict(data) -> PumpPlan:
     strategy = data.get("strategy")
     if strategy not in STRATEGIES:
         raise ParseError(f"plan.strategy: expected one of {', '.join(STRATEGIES)}")
-    base = data.get("kernel_base_clock_mhz")
-    if isinstance(base, bool) or not isinstance(base, (int, float, Fraction)):
-        raise ParseError("plan.kernel_base_clock_mhz: expected a number")
+    base = num_from_json(data.get("kernel_base_clock_mhz"), "plan.kernel_base_clock_mhz")
     raw = data.get("tasks")
     if not isinstance(raw, dict) or not raw:
         raise ParseError("plan.tasks: expected a non-empty object")
@@ -254,10 +253,8 @@ def plan_from_dict(data) -> PumpPlan:
             raise ParseError(f"plan.tasks.{name}.m: expected a positive integer")
         if not isinstance(ii, int) or isinstance(ii, bool) or ii < 1:
             raise ParseError(f"plan.tasks.{name}.ii: expected a positive integer")
-        if isinstance(f, bool) or not isinstance(f, (int, float, Fraction)):
-            raise ParseError(f"plan.tasks.{name}.f_mhz: expected a number")
-        entries[name] = TaskPlan(m, as_fraction(f), ii)
-    plan = PumpPlan(strategy, entries, as_fraction(base))
+        entries[name] = TaskPlan(m, num_from_json(f, f"plan.tasks.{name}.f_mhz"), ii)
+    plan = PumpPlan(strategy, entries, base)
     plan.validate()
     return plan
 
@@ -267,19 +264,4 @@ def save_plan(plan: PumpPlan, path: Union[str, Path]) -> None:
 
 
 def load_plan(path: Union[str, Path]) -> PumpPlan:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise ParseError(f"{path}: {e.strerror or e}") from None
-    try:
-        data = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    return plan_from_dict(data)
-
-
-def _num_out(x: Fraction):
-    if x.denominator == 1:
-        return int(x)
-    return float(x)
+    return plan_from_dict(load_json(path))

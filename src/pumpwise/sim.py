@@ -1,4 +1,4 @@
-"""Discrete-event simulation of multi-clock dataflow graphs.
+"""Multi-clock dataflow simulation by an exact start-time recurrence.
 
 Each task is a pipelined actor on its own clock; channels are
 depth-bounded FIFOs with independent read and write clocks.  A task
@@ -6,19 +6,40 @@ starts an iteration at a local clock edge when at least ii local cycles
 have passed since its previous start, every input channel holds a token,
 and every output channel has a free slot net of reservations.  Inputs
 are popped at start, a slot is reserved per output at start, and outputs
-are pushed pipeline_depth local cycles later.  Source tasks fire until
-they have emitted the configured number of iterations; sink starts are
-the consumption times the throughput measurement is taken from.
+are pushed pipeline_depth local cycles later.  Every task fires exactly
+``iterations`` times; sink starts are the consumption times the
+throughput measurement is taken from.
+
+These rules make the graph a timed marked graph, whose start times obey
+a max-plus recurrence (Baccelli et al., *Synchronization and Linearity*,
+1992).  The k-th start of task i is the first edge of i's clock at or
+after the latest of
+
+* its own start k-1 plus ii periods (the II spacing),
+* the start k of each producer plus the producer's pipeline depth (the
+  input token), and
+* the start k-d of each consumer behind a FIFO of depth d (the free slot).
+
+Every term refers to an earlier iteration or an upstream task, so tasks
+are computed once each, in topological order inside each iteration: no
+start is retried and no acyclic graph can stall.  Outside trace mode the
+state is each task's previous start and, per FIFO of depth d, the last d
+consumer starts, so memory does not grow with ``iterations``.
 
 The timeline is integer picoseconds with clock periods rounded to the
-nearest picosecond, and events are processed in a fixed total order
-(time, then task index, then completion before start attempt), so a
-simulation is deterministic down to the bit.
+nearest picosecond.  Events at one picosecond are ordered by task index,
+a completion before a start, except that a start whose token or slot
+comes from a same-time event with a larger key runs right after that
+event: the smallest-key topological order of each timestamp.  FIFO
+peaks and the trace follow this order, so a simulation is deterministic
+down to the bit.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -45,7 +66,7 @@ class SimConfig:
     warmup: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelReport:
     src: str
     dst: str
@@ -53,15 +74,11 @@ class ChannelReport:
     residual_tokens: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimReport:
     throughput_msps: Fraction
     channels: tuple[ChannelReport, ...]
     firings: dict[str, int]
-    stalled: bool
-    stall_task: str | None
-    stall_time_ps: int | None
-    events_processed: int
 
 
 def clock_period_ps(f_mhz) -> int:
@@ -118,176 +135,102 @@ def simulate(
     prod = [index[c.src] for c in dfg.channels]
     cons = [index[c.dst] for c in dfg.channels]
     depth = [c.depth for c in dfg.channels]
-    in_ch = [[] for _ in range(ntasks)]
-    out_ch = [[] for _ in range(ntasks)]
     for c in range(nchan):
-        out_ch[prod[c]].append(c)
-        in_ch[cons[c]].append(c)
-    in_ch = [tuple(v) for v in in_ch]
-    out_ch = [tuple(v) for v in out_ch]
-    is_source = [not in_ch[i] for i in range(ntasks)]
-    is_sink = [not out_ch[i] for i in range(ntasks)]
+        if depth[c] < 1:
+            raise ValidationError(
+                f"channel {names[prod[c]]}->{names[cons[c]]}: depth must be >= 1"
+            )
+    order = _topological_order(ntasks, prod, cons)
+    sinks = [i for i in range(ntasks) if i not in prod]
 
-    occ = [0] * nchan
-    res = [0] * nchan
+    # Times are scaled by K and carry a tie key below K, so that comparing
+    # t*K + key also orders the events of one picosecond.  A completion of
+    # task i has key 2*i; a start of task i has the largest key among
+    # itself (2*i + 1) and the same-time events that gave it its tokens
+    # and slots, since it runs right after the last of them.
+    K = 2 * ntasks
+    # latest token time per channel, written by the producer's start k and
+    # read by the consumer's start k later in the same iteration
+    token = [0] * nchan
+    # per channel, the consumer starts k-d .. k-1 that free the producer's
+    # next slots, oldest first; the d slots of an empty FIFO are free at 0
+    free = [deque([0] * d) for d in depth]
     peak = [0] * nchan
-    wait_tok = [False] * nchan
-    wait_slot = [False] * nchan
-    started = [0] * ntasks
-    completed = [0] * ntasks
-    earliest = [0] * ntasks
-    next_attempt = [0] * ntasks
-    t_warm = [0] * ntasks
-    t_last = [0] * ntasks
-    last_i = -1
-    last_t = 0
-    nevents = 0
-
-    tf = open(trace_path, "w") if trace_path is not None else None
-    try:
-        if tf:
-            tf.write("time_ps,task,kind,iteration\n")
-        K = ntasks
-        events = [i * 2 + 1 for i in range(ntasks)]  # every task attempts at t = 0
-        heapq.heapify(events)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        while events:
-            ev = heappop(events)
-            nevents += 1
-            kind = ev & 1
-            q = ev >> 1
-            t = q // K
-            i = q - t * K
-
-            if kind == 0:
-                # completion: fill the reserved slot in every output FIFO
-                completed[i] += 1
-                for c in out_ch[i]:
-                    res[c] -= 1
-                    o = occ[c] + 1
-                    occ[c] = o
-                    assert o <= depth[c], "FIFO overflow"
-                    if o > peak[c]:
-                        peak[c] = o
-                    if wait_tok[c]:
-                        wait_tok[c] = False
-                        j = cons[c]
-                        pj = period[j]
-                        target = -(-t // pj) * pj
-                        ej = earliest[j]
-                        if target < ej:
-                            target = ej
-                        na = next_attempt[j]
-                        if na < 0 or target < na:
-                            next_attempt[j] = target
-                            heappush(events, (target * K + j) * 2 + 1)
-                if tf:
-                    tf.write(f"{t},{names[i]},complete,{completed[i] - 1}\n")
-                continue
-
-            # start attempt
-            next_attempt[i] = -1
-            if is_source[i] and started[i] >= iterations:
-                continue
-            est = earliest[i]
-            if est > t:
-                # woken before the ii spacing expired; re-arm at the edge
-                na = next_attempt[i]
-                if na < 0 or est < na:
-                    next_attempt[i] = est
-                    heappush(events, (est * K + i) * 2 + 1)
-                continue
-            blocked = False
-            for c in in_ch[i]:
-                if occ[c] == 0:
-                    wait_tok[c] = True
-                    blocked = True
-                    break
-            if not blocked:
-                for c in out_ch[i]:
-                    if occ[c] + res[c] >= depth[c]:
-                        wait_slot[c] = True
-                        blocked = True
-                        break
-            if blocked:
-                continue
-
-            # fire: pop inputs, reserve output slots, schedule the completion
-            for c in in_ch[i]:
-                o = occ[c] - 1
-                occ[c] = o
-                assert o >= 0, "FIFO underflow"
-                if wait_slot[c]:
-                    wait_slot[c] = False
-                    j = prod[c]
-                    pj = period[j]
-                    target = -(-t // pj) * pj
-                    ej = earliest[j]
-                    if target < ej:
-                        target = ej
-                    na = next_attempt[j]
-                    if na < 0 or target < na:
-                        next_attempt[j] = target
-                        heappush(events, (target * K + j) * 2 + 1)
-            for c in out_ch[i]:
-                res[c] += 1
-            k = started[i]
-            started[i] = k + 1
-            earliest[i] = t + ii_ps[i]
-            heappush(events, ((t + pd_ps[i]) * K + i) * 2)
-            last_i = i
-            last_t = t
-            if is_sink[i]:
-                sc = started[i]
-                if sc == warmup:
-                    t_warm[i] = t
-                if sc == iterations:
-                    t_last[i] = t
-            if not (is_source[i] and started[i] >= iterations):
-                nt = earliest[i]
-                na = next_attempt[i]
-                if na < 0 or nt < na:
-                    next_attempt[i] = nt
-                    heappush(events, (nt * K + i) * 2 + 1)
-            if tf:
-                tf.write(f"{t},{names[i]},start,{k}\n")
-    finally:
-        if tf:
-            tf.close()
-
-    sinks = [i for i in range(ntasks) if is_sink[i]]
-    finished = all(started[i] >= iterations for i in sinks)
-    if finished:
-        # the graph's k-th iteration is done when its last sink consumes it
-        window_end = max(t_last[i] for i in sinks)
-        window_start = max(t_warm[i] for i in sinks) if warmup > 0 else 0
-        throughput = Fraction(
-            (iterations - warmup) * PS_PER_MICROSECOND, window_end - window_start
+    # the II term of start 0 is 0
+    last = [-ii_ps[i] * K for i in range(ntasks)]
+    history = [[] for _ in range(ntasks)] if trace_path is not None else None
+    steps = [
+        (
+            i,
+            period[i] * K,
+            ii_ps[i] * K,
+            pd_ps[i] * K + 2 * i,  # from a start to its completion, key 2*i
+            2 * i + 1,
+            tuple((c, free[c]) for c in range(nchan) if cons[c] == i),
+            tuple((c, free[c], depth[c]) for c in range(nchan) if prod[c] == i),
+            None if history is None else history[i].append,
         )
-        stalled = False
-        stall_task = None
-        stall_time = None
-    else:
-        throughput = Fraction(0)
-        stalled = True
-        stall_task = names[last_i] if last_i >= 0 else None
-        stall_time = last_t if last_i >= 0 else None
+        for i in order
+    ]
+    warm_k = warmup - 1
+    window_start = 0
+    for k in range(iterations):
+        for i, per, ii, pd, key, ins, outs, record in steps:
+            # the latest of the II spacing, every input token and every free slot
+            x = last[i] + ii
+            for c, _ in ins:
+                if token[c] > x:
+                    x = token[c]
+            for _, q, _ in outs:
+                y = q.popleft()
+                if y > x:
+                    x = y
+            # the first clock edge at or after it; the tie key survives only
+            # when no rounding was needed
+            r = x % per
+            if r >= K:
+                t = x - r + per
+                x = t + key
+            else:
+                t = x - r
+                if r < key:
+                    x = t + key
+            last[i] = t
+            for _, q in ins:
+                q.append(x)
+            if record is not None:
+                record(x)
+            # FIFO occupancy right after this start's completion pushes its
+            # token: that token plus one per consumer start that comes later
+            done = t + pd
+            for c, q, d in outs:
+                token[c] = done
+                if peak[c] < d:
+                    n = 1
+                    for y in reversed(q):
+                        if y < done:
+                            break
+                        n += 1
+                    if n > peak[c]:
+                        peak[c] = n
+        if k == warm_k:
+            window_start = max(last[i] for i in sinks)
 
-    assert all(r == 0 for r in res), "reserved slots left unfilled"
+    # the graph's k-th iteration is done when its last sink consumes it
+    window_end = max(last[i] for i in sinks)
+    throughput = Fraction(
+        (iterations - warmup) * PS_PER_MICROSECOND * K, window_end - window_start
+    )
+    if history is not None:
+        _write_trace(trace_path, names, history, K, pd_ps, prod, cons, depth)
     channels = tuple(
-        ChannelReport(dfg.channels[c].src, dfg.channels[c].dst, peak[c], occ[c])
+        ChannelReport(dfg.channels[c].src, dfg.channels[c].dst, peak[c], 0)
         for c in range(nchan)
     )
     return SimReport(
         throughput_msps=throughput,
         channels=channels,
-        firings={names[i]: started[i] for i in range(ntasks)},
-        stalled=stalled,
-        stall_task=stall_task,
-        stall_time_ps=stall_time,
-        events_processed=nevents,
+        firings={n: iterations for n in names},
     )
 
 
@@ -299,8 +242,95 @@ def validate_plan_throughput(dfg: Dfg, plan: PumpPlan, cfg: SimConfig) -> Fracti
     """
     analytic = compute_throughput(dfg, plan)
     report = simulate(dfg, plan, cfg)
-    if report.stalled:
-        raise SimulationError(
-            f"simulation stalled at task {report.stall_task} (t={report.stall_time_ps} ps)"
-        )
     return abs(report.throughput_msps - analytic) / analytic
+
+
+def _topological_order(ntasks: int, prod: list[int], cons: list[int]) -> list[int]:
+    """Task indices with every producer before its consumers."""
+    indeg = [0] * ntasks
+    succ = [[] for _ in range(ntasks)]
+    for p, c in zip(prod, cons):
+        succ[p].append(c)
+        indeg[c] += 1
+    ready = [i for i in range(ntasks) if indeg[i] == 0]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    if len(order) < ntasks:
+        raise ValidationError("channel graph must be acyclic")
+    return order
+
+
+def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:
+    """One ``time_ps,task,kind,iteration`` line per start and completion.
+
+    ``history`` holds each task's starts on the simulation's scaled
+    timeline, tie key included.  Events sort by time, then key: 2*i for a
+    completion of task i and 2*i + 1 for a start.  A start whose tie key
+    is larger than its own key waits for a same-time event with a larger
+    key; in a picosecond with such a start, the smallest-key event whose
+    waits are over goes next.
+    """
+    start = [[x // K for x in xs] for xs in history]
+    producers = [[] for _ in names]
+    consumers = [[] for _ in names]
+    for p, c, d in zip(prod, cons, depth):
+        producers[c].append(p)
+        consumers[p].append((c, d))
+
+    def waits(t, key, k):
+        """Keys of the same-time events start ``key`` of iteration k waits for."""
+        i = key >> 1
+        return [2 * p for p in producers[i] if start[p][k] + pd_ps[p] == t] + [
+            2 * j + 1 for j, d in consumers[i] if k >= d and start[j][k - d] == t
+        ]
+
+    events = []
+    late = set()
+    for i, xs in enumerate(history):
+        key = 2 * i + 1
+        pd = pd_ps[i]
+        for k, x in enumerate(xs):
+            t, root = divmod(x, K)
+            if root > key:
+                late.add(t)
+            events.append((t, key, k))
+            events.append((t + pd, key - 1, k))
+    events.sort()
+    for t in late:
+        lo = bisect_left(events, (t,))
+        hi = bisect_left(events, (t + 1,))
+        events[lo:hi] = _min_key_topological(events[lo:hi], waits)
+    label = [f",{names[key >> 1]},{'start' if key & 1 else 'complete'}," for key in range(K)]
+    with open(path, "w") as f:
+        f.write("time_ps,task,kind,iteration\n")
+        f.write("".join([f"{t}{label[key]}{k}\n" for t, key, k in events]))
+
+
+def _min_key_topological(group, waits):
+    """Order one picosecond's events: the smallest key among those not waiting."""
+    by_key = {e[1]: e for e in group}
+    blocked = {}
+    dependents = {}
+    for t, key, k in group:
+        if key & 1:
+            ws = waits(t, key, k)
+            blocked[key] = len(ws)
+            for w in ws:
+                dependents.setdefault(w, []).append(key)
+    ready = [key for key in by_key if not blocked.get(key)]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        key = heapq.heappop(ready)
+        out.append(by_key[key])
+        for d in dependents.get(key, ()):
+            blocked[d] -= 1
+            if not blocked[d]:
+                heapq.heappush(ready, d)
+    return out

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,40 @@ def random_pipeline_dfg(
 
 def feasible_f_base(rng: random.Random, dfg: Dfg) -> int:
     return rng.randint(50, int(dfg.min_f_max_mhz))
+
+
+def random_shallow_dfg(rng: random.Random, max_tasks: int = 7) -> tuple[Dfg, Fraction]:
+    """Random pipeline with 1-3 deep FIFOs, reconvergent skips and a p/q base clock.
+
+    Back-pressure, not the bottleneck task, sets the rate here.  The task
+    list is shuffled, so channels run from higher to lower task indices
+    as often as the other way round, and the same-picosecond event order
+    cannot follow from the topological order alone.  The base clock has
+    denominator 3, 7 or 11, so the pumped clock periods are coprime.
+    """
+    n = rng.randint(2, max_tasks)
+    f_max = [rng.randint(150, 900) for _ in range(n)]
+    tasks = [
+        Task(
+            name=f"T{i}",
+            f_max_mhz=f_max[i],
+            n_op_dsp=rng.choice([0, rng.randint(2, 64)]),
+            ii_min_base=rng.randint(1, 3),
+            pipeline_depth=rng.randint(1, 6),
+        )
+        for i in range(n)
+    ]
+    channels = [Channel(f"T{i}", f"T{i+1}", depth=rng.randint(1, 3)) for i in range(n - 1)]
+    for i in range(n - 1):
+        for j in range(i + 2, n):
+            if rng.random() < 0.4:
+                channels.append(Channel(f"T{i}", f"T{j}", depth=rng.randint(1, 3)))
+    rng.shuffle(tasks)
+    q = rng.choice([3, 7, 11])
+    p = rng.randint(50 * q + 1, min(f_max) * q - 1)
+    if p % q == 0:
+        p += 1
+    return Dfg(tasks, channels, device_dsp_total=4096), Fraction(p, q)
 
 
 @pytest.fixture

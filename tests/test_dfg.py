@@ -190,6 +190,27 @@ def test_round_trip_fractional_and_ddg(tmp_path):
     assert load_dfg(out) == dfg
 
 
+def test_round_trip_non_decimal_rationals(tmp_path):
+    dfg = Dfg(
+        [Task(name="A", f_max_mhz=Fraction(1000, 3), ii_min_base=1, pipeline_depth=1),
+         Task(name="B", f_max_mhz=Fraction(331, 2), ii_min_base=1, pipeline_depth=1)],
+        [Channel("A", "B")],
+        device_dsp_total=8,
+        memory_bound_msps=Fraction(1000, 7),
+    )
+    out = tmp_path / "rt.json"
+    save_dfg(dfg, out)
+    data = json.loads(out.read_text())
+    assert [t["f_max_mhz"] for t in data["tasks"]] == ["1000/3", 165.5]
+    assert data["memory_bound_msps"] == "1000/7"
+    assert load_dfg(out) == dfg
+    for bad in ('"1000/0"', '"1e3"', '"fast"'):
+        out.write_text(out.read_text().replace('"1000/3"', bad, 1))
+        with pytest.raises(ParseError, match=r"tasks\[0\].f_max_mhz"):
+            load_dfg(out)
+        save_dfg(dfg, out)
+
+
 def test_random_dags_accepted_backedge_rejected():
     rng = random.Random(33)
     for _ in range(40):

@@ -1,5 +1,6 @@
 """Planner: throughput model, factor selection, plans, and sweeps."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -268,6 +269,26 @@ def test_plan_file_round_trip(tmp_path):
         assert loaded.strategy == plan.strategy
         assert loaded.kernel_base_clock_mhz == plan.kernel_base_clock_mhz
         assert dict(loaded.tasks) == dict(plan.tasks)
+
+
+def test_plan_file_round_trip_non_decimal_clock(tmp_path):
+    # 1000/7 has no exact float, so the file carries it as "p/q"
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    plan = make_plan(dfg, Fraction(1000, 7), "m-pump")
+    p = tmp_path / "m.plan"
+    save_plan(plan, p)
+    data = json.loads(p.read_text())
+    assert data["kernel_base_clock_mhz"] == "1000/7"
+    assert data["tasks"]["Filter2D"]["f_mhz"] == "3000/7"
+    loaded = load_plan(p)
+    assert loaded.kernel_base_clock_mhz == Fraction(1000, 7)
+    assert dict(loaded.tasks) == dict(plan.tasks)
+    assert loaded.tasks["Filter2D"].f_mhz == 3 * loaded.kernel_base_clock_mhz
+    p.write_text(p.read_text().replace('"1000/7"', '"1000/0"'))
+    from pumpwise import ParseError
+
+    with pytest.raises(ParseError, match="kernel_base_clock_mhz"):
+        load_plan(p)
 
 
 def test_plan_file_validation(tmp_path):

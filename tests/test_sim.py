@@ -1,6 +1,7 @@
 """Simulator: hand-traced cases, fidelity bands, safety, determinism."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from pumpwise import (
     simulate,
     validate_plan_throughput,
 )
-from conftest import feasible_f_base, random_pipeline_dfg
+from conftest import feasible_f_base, random_pipeline_dfg, random_shallow_dfg
+from oracles import oracle_simulate
 
 
 def chain(freqs, iis, pds, depths, n_op_dsp=None):
@@ -60,7 +62,6 @@ def test_clock_period_rounding():
 def test_two_task_chain_100mhz():
     dfg, plan = chain([100, 100], [1, 1], [1, 1], [2])
     rep = simulate(dfg, plan, SimConfig(10000, 100))
-    assert not rep.stalled
     assert rep.throughput_msps == 100  # one token per 10 ns in steady state
     assert rep.firings == {"T0": 10000, "T1": 10000}
 
@@ -198,7 +199,7 @@ def test_token_conservation():
         dfg = random_pipeline_dfg(rng, max_tasks=6)
         plan = make_plan(dfg, feasible_f_base(rng, dfg), "m-pump")
         rep = simulate(dfg, plan, SimConfig(500, 0))
-        assert not rep.stalled
+        assert all(n == 500 for n in rep.firings.values())
         for ch, decl in zip(rep.channels, dfg.channels):
             pushed = rep.firings[decl.src]
             popped = rep.firings[decl.dst]
@@ -237,7 +238,6 @@ def test_determinism_bit_identical_reports():
     a = simulate(dfg, plan, cfg)
     b = simulate(dfg, plan, cfg)
     assert a == b
-    assert a.events_processed == b.events_processed
 
 
 def test_default_warmup_covers_fill():
@@ -258,3 +258,87 @@ def test_trace_off_by_default(tmp_path):
     dfg, plan = chain([100, 100], [1, 1], [1, 1], [2])
     simulate(dfg, plan, SimConfig(10, 0))
     assert list(tmp_path.iterdir()) == []
+
+
+# --- differential check against the heap event engine ------------------------
+
+
+def assert_matches_oracle(dfg, plan, cfg, tmp_path):
+    ours = simulate(dfg, plan, cfg, trace_path=tmp_path / "ours.csv")
+    ref = oracle_simulate(dfg, plan, cfg, trace_path=tmp_path / "ref.csv")
+    assert not ref.stalled
+    assert ours.throughput_msps == ref.throughput_msps
+    assert ours.channels == ref.channels  # peaks and residual tokens
+    assert ours.firings == ref.firings
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the bounded window outside trace mode gives the same report
+    assert simulate(dfg, plan, cfg) == ours
+
+
+def test_recurrence_matches_oracle_on_shallow_corpus(tmp_path):
+    rng = random.Random(0x5A11)
+    for _ in range(40):
+        dfg, f_base = random_shallow_dfg(rng)
+        dfg.validate()
+        for strategy in ("base", "s-pump", "m-pump"):
+            iterations = rng.choice([20, 150, 400])
+            cfg = SimConfig(iterations, rng.randrange(iterations))
+            assert_matches_oracle(dfg, make_plan(dfg, f_base, strategy), cfg, tmp_path)
+
+
+@pytest.mark.parametrize("name,f_base", [("conv2d.json", 165), ("optical.json", 155),
+                                         ("vms.json", 110)])
+def test_recurrence_matches_oracle_on_datasets(name, f_base, tmp_path):
+    dfg = load_dfg(datasets.path(name))
+    for strategy in ("base", "s-pump", "m-pump"):
+        assert_matches_oracle(dfg, make_plan(dfg, f_base, strategy), SimConfig(600, 150), tmp_path)
+
+
+def test_same_picosecond_order_consumer_indexed_before_producer(tmp_path):
+    # B consumes from A but comes first in the task list, and both share a
+    # clock.  At 20 ns B's start waits for A's completion at the same
+    # picosecond, and A's start waits for the slot B frees; at 40 ns B's
+    # start needs nothing from A's completion, so it pops first and the
+    # FIFO never holds two tokens
+    tasks = [
+        Task(name="B", f_max_mhz=100, ii_min_base=2, pipeline_depth=1),
+        Task(name="A", f_max_mhz=100, ii_min_base=1, pipeline_depth=2),
+    ]
+    dfg = Dfg(tasks, [Channel("A", "B", depth=2)], device_dsp_total=8)
+    plan = make_plan(dfg, 100, "base")
+    trace = tmp_path / "trace.csv"
+    rep = simulate(dfg, plan, SimConfig(4, 0), trace_path=trace)
+    assert rep.channels[0].peak_occupancy == 1
+    assert trace.read_text().splitlines()[3:10] == [
+        "20000,A,complete,0",
+        "20000,B,start,0",
+        "20000,A,start,2",
+        "30000,B,complete,0",
+        "30000,A,complete,1",
+        "40000,B,start,1",
+        "40000,A,complete,2",
+    ]
+    assert_matches_oracle(dfg, plan, SimConfig(50, 0), tmp_path)
+
+
+def test_memory_independent_of_iterations():
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    plan = make_plan(dfg, 165, "m-pump")
+    peaks = []
+    for iterations in (200, 2000):
+        tracemalloc.start()
+        simulate(dfg, plan, SimConfig(iterations, 150))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_cyclic_or_zero_depth_channels_rejected():
+    tasks = [Task(name=n, f_max_mhz=100, ii_min_base=1, pipeline_depth=1) for n in "AB"]
+    plan = PumpPlan("base", {n: TaskPlan(1, Fraction(100), 1) for n in "AB"}, Fraction(100))
+    cyclic = Dfg(tasks, [Channel("A", "B"), Channel("B", "A")], 8)
+    with pytest.raises(ValidationError, match="acyclic"):
+        simulate(cyclic, plan, SimConfig(10, 0))
+    empty = Dfg(tasks, [Channel("A", "B", depth=0)], 8)
+    with pytest.raises(ValidationError, match="depth"):
+        simulate(empty, plan, SimConfig(10, 0))
