@@ -8,7 +8,7 @@ operations with one functional unit.  This package models that tradeoff
 every prediction with a multi-clock simulator.
 """
 
-from .binding import BindingResult, TaskBinding, bind, dsp_constraint, fu_count, scaled_partition
+from .binding import BindingResult, TaskBinding, bind, fu_count, scaled_partition
 from .dfg import (
     Channel,
     Characterization,
@@ -83,7 +83,6 @@ __all__ = [
     "default_warmup",
     "dfg_from_dict",
     "dfg_to_dict",
-    "dsp_constraint",
     "fu_count",
     "graph_throughput",
     "load_characterization",

@@ -28,15 +28,6 @@ def fu_count(n_op: int, ii: int) -> int:
     return -(-n_op // ii)
 
 
-def dsp_constraint(n_dsp_base: int, m: int) -> int:
-    """DSP budget handed to synthesis for a task pumped by factor m."""
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    if n_dsp_base < 0:
-        raise ValidationError("n_dsp_base must be >= 0")
-    return -(-n_dsp_base // m)
-
-
 def scaled_partition(base_factor: int, m: int) -> int:
     """Memory partitioning factor after scaling down by the pump factor."""
     if base_factor < 1 or m < 1:
@@ -77,6 +68,7 @@ def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
 
 
 def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
+    """Reject a plan that misses a task, names an unknown one or clocks one above f_max."""
     names = set(dfg.task_names)
     planned = set(plan.tasks)
     missing = sorted(names - planned)
@@ -85,3 +77,10 @@ def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
     extra = sorted(planned - names)
     if extra:
         raise ValidationError(f"plan names unknown task: {extra[0]}")
+    for t in dfg.tasks:
+        f = plan.tasks[t.name].f_mhz
+        if f > t.f_max_mhz:
+            raise ValidationError(
+                f"task {t.name}: plan clock {float(f):g} MHz exceeds "
+                f"f_max {float(t.f_max_mhz):g} MHz"
+            )

@@ -119,6 +119,13 @@ def _plan_table(dfg: Dfg, plan: PumpPlan) -> str:
     return _table(["task", "factor", "f_mhz", "ii", "dsp"], rows)
 
 
+def _warmup(args, dfg: Dfg, plan: PumpPlan) -> int:
+    # the default leaves at least half the iterations to measure
+    if args.warmup is not None:
+        return args.warmup
+    return min(default_warmup(dfg, plan), args.iterations // 2)
+
+
 def _regression_error(prefix: str, err: Fraction) -> None:
     print(
         f"error: {prefix}simulated throughput deviates {float(err) * 100:.3f} % "
@@ -184,7 +191,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     dfg = load_dfg(_resolve(args.dfg))
     plan = load_plan(args.plan)
-    warmup = args.warmup if args.warmup is not None else default_warmup(dfg, plan)
+    warmup = _warmup(args, dfg, plan)
     cfg = SimConfig(iterations=args.iterations, warmup=warmup)
     if args.iterations - warmup < 100:
         print(
@@ -228,8 +235,7 @@ def cmd_report(args) -> int:
     sim_rows = []
     errs = {}
     for s, plan in plans.items():
-        warmup = args.warmup if args.warmup is not None else default_warmup(dfg, plan)
-        report = simulate(dfg, plan, SimConfig(args.iterations, warmup))
+        report = simulate(dfg, plan, SimConfig(args.iterations, _warmup(args, dfg, plan)))
         analytic = compute_throughput(dfg, plan)
         err = abs(report.throughput_msps - analytic) / analytic
         errs[s] = err

@@ -19,11 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-import networkx as nx
-
 from .codec import load_json, num_from_json, num_to_json
 from .errors import ParseError, ValidationError
-from .ii import Ddg, Dep, Op, Rational, as_fraction, min_ii
+from .ii import Ddg, Dep, Op, Rational, _toposort, as_fraction, min_ii
 from .ii import pipeline_depth as ddg_pipeline_depth
 
 DEFAULT_CHANNEL_DEPTH = 2
@@ -36,7 +34,7 @@ class Task:
     ``ii_min_base`` may be omitted when ``ddg`` is given (it is then
     derived), and ``pipeline_depth`` may be omitted likewise.  When both
     ``ddg`` and ``ii_min_base`` are present the loader cross-checks them
-    at the base clock.
+    at the base clock.  A task is validated when built.
     """
 
     name: str
@@ -50,11 +48,12 @@ class Task:
 
     def __post_init__(self):
         object.__setattr__(self, "f_max_mhz", as_fraction(self.f_max_mhz))
+        self.validate()
 
     def validate(self) -> None:
         if not self.name:
             raise ValidationError("task name must be non-empty")
-        if as_fraction(self.f_max_mhz) <= 0:
+        if self.f_max_mhz <= 0:
             raise ValidationError(f"task {self.name}: f_max_mhz must be positive")
         for field_name in ("n_op_dsp", "n_op_mem"):
             v = getattr(self, field_name)
@@ -83,11 +82,6 @@ class Task:
                 raise ValidationError(
                     f"task {self.name}: pipeline_depth is required when no ddg is given"
                 )
-        else:
-            try:
-                self.ddg.validate()
-            except ValidationError as e:
-                raise ValidationError(f"task {self.name}: {e}") from None
 
     def ii_min_at(self, f_mhz: Rational) -> int:
         """Minimum II at the given clock: DDG-derived when one is attached."""
@@ -115,7 +109,11 @@ class Channel:
 
 @dataclass(frozen=True)
 class Dfg:
-    """Validated dataflow graph plus device DSP budget and memory cap."""
+    """Dataflow graph plus device DSP budget and memory cap, validated when built.
+
+    ``task_order`` holds the task indices with every producer before its
+    consumers.
+    """
 
     tasks: tuple[Task, ...]
     channels: tuple[Channel, ...]
@@ -137,6 +135,7 @@ class Dfg:
             "memory_bound_msps",
             None if memory_bound_msps is None else as_fraction(memory_bound_msps),
         )
+        self.validate()
 
     def task(self, name: str) -> Task:
         for t in self.tasks:
@@ -150,7 +149,7 @@ class Dfg:
 
     @property
     def min_f_max_mhz(self) -> Fraction:
-        return min(as_fraction(t.f_max_mhz) for t in self.tasks)
+        return min(t.f_max_mhz for t in self.tasks)
 
     def validate(self, f_base_mhz: Rational | None = None) -> None:
         if not self.tasks:
@@ -165,10 +164,8 @@ class Dfg:
             or self.device_dsp_total < 1
         ):
             raise ValidationError("device_dsp_total must be a positive integer")
-        if self.memory_bound_msps is not None and as_fraction(self.memory_bound_msps) <= 0:
+        if self.memory_bound_msps is not None and self.memory_bound_msps <= 0:
             raise ValidationError("memory_bound_msps must be positive")
-        for t in self.tasks:
-            t.validate()
         known = set(names)
         for c in self.channels:
             if c.src not in known:
@@ -179,19 +176,11 @@ class Dfg:
                 raise ValidationError(f"channel endpoints must differ: {c.src}")
             if not isinstance(c.depth, int) or isinstance(c.depth, bool) or c.depth < 1:
                 raise ValidationError(f"channel {c.src}->{c.dst}: depth must be >= 1")
-        g = nx.DiGraph()
-        g.add_nodes_from(names)
-        g.add_edges_from((c.src, c.dst) for c in self.channels)
-        try:
-            cyc = [u for u, _ in nx.find_cycle(g)]
-        except nx.NetworkXNoCycle:
-            cyc = None
+        order, cyc = _toposort(names, ((c.src, c.dst) for c in self.channels))
         if cyc is not None:
-            k = cyc.index(min(cyc))
-            cyc = cyc[k:] + cyc[:k]
-            raise ValidationError(
-                "channel graph must be acyclic: " + "->".join(cyc + cyc[:1])
-            )
+            raise ValidationError("channel graph must be acyclic: " + "->".join(cyc + cyc[:1]))
+        index = {n: i for i, n in enumerate(names)}
+        object.__setattr__(self, "task_order", tuple(index[n] for n in order))
         if f_base_mhz is not None:
             self._cross_check_ii(as_fraction(f_base_mhz))
 
@@ -201,7 +190,7 @@ class Dfg:
         for t in self.tasks:
             if t.ddg is None or t.ii_min_base is None:
                 continue
-            if f_base > as_fraction(t.f_max_mhz):
+            if f_base > t.f_max_mhz:
                 continue
             derived = min_ii(t.ddg, f_base)
             if derived != t.ii_min_base:
@@ -228,11 +217,7 @@ def merge_characterization(dfg: Dfg, ch: Characterization) -> Dfg:
     for t in dfg.tasks:
         if t.name in ch.entries:
             f_max, n_op = ch.entries[t.name]
-            if as_fraction(f_max) <= 0:
-                raise ValidationError(f"task {t.name}: f_max_mhz must be positive")
-            if not isinstance(n_op, int) or isinstance(n_op, bool) or n_op < 0:
-                raise ValidationError(f"task {t.name}: n_op_dsp must be a nonnegative integer")
-            t = replace(t, f_max_mhz=as_fraction(f_max), n_op_dsp=n_op)
+            t = replace(t, f_max_mhz=f_max, n_op_dsp=n_op)
         tasks.append(t)
     return Dfg(tasks, dfg.channels, dfg.device_dsp_total, dfg.memory_bound_msps)
 
@@ -248,9 +233,9 @@ def load_dfg(path: Union[str, Path], f_base_mhz: Rational | None = None) -> Dfg:
     When ``f_base_mhz`` is given, tasks carrying both a ddg and a declared
     ii_min_base are cross-checked at that clock.
     """
-    data = load_json(path)
-    dfg = dfg_from_dict(data)
-    dfg.validate(f_base_mhz)
+    dfg = dfg_from_dict(load_json(path))
+    if f_base_mhz is not None:
+        dfg._cross_check_ii(as_fraction(f_base_mhz))
     return dfg
 
 
@@ -304,7 +289,10 @@ def _task_from_dict(rec, where: str) -> Task:
     name = _field(rec, "name", str, where)
     ddg = None
     if "ddg" in rec and rec["ddg"] is not None:
-        ddg = _ddg_from_dict(rec["ddg"], f"{where}.ddg")
+        try:
+            ddg = _ddg_from_dict(rec["ddg"], f"{where}.ddg")
+        except ValidationError as e:
+            raise ValidationError(f"task {name}: {e}") from None
     return Task(
         name=name,
         f_max_mhz=_num(rec, "f_max_mhz", where),

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import ceil
-from typing import Iterable, Sequence, Union
-
-import networkx as nx
+from typing import Hashable, Iterable, Sequence, Union
 
 from .errors import ValidationError
 
@@ -68,7 +67,7 @@ class Dep:
 
 @dataclass(frozen=True)
 class Ddg:
-    """Data-dependence graph of one task's pipelined loop body."""
+    """Data-dependence graph of one task's pipelined loop body, validated when built."""
 
     ops: tuple[Op, ...]
     deps: tuple[Dep, ...]
@@ -76,6 +75,7 @@ class Ddg:
     def __init__(self, ops: Sequence[Op], deps: Sequence[Dep] = ()):
         object.__setattr__(self, "ops", tuple(ops))
         object.__setattr__(self, "deps", tuple(deps))
+        self.validate()
 
     def validate(self) -> None:
         if not self.ops:
@@ -86,7 +86,7 @@ class Ddg:
             raise ValidationError(f"duplicate op id: {dup[0]}")
         known = set(ids)
         for op in self.ops:
-            if as_fraction(op.delay_ns) <= 0:
+            if op.delay_ns <= 0:
                 raise ValidationError(f"op {op.id}: delay_ns must be positive")
         for dep in self.deps:
             if dep.src not in known or dep.dst not in known:
@@ -96,7 +96,7 @@ class Ddg:
                 raise ValidationError(
                     f"dependence {dep.src}->{dep.dst}: dist must be a nonnegative integer"
                 )
-        cyc = _dist0_cycle(self)
+        _, cyc = _toposort(ids, ((d.src, d.dst) for d in self.deps if d.dist == 0))
         if cyc is not None:
             raise ValidationError("combinational cycle: " + "->".join(cyc + cyc[:1]))
 
@@ -113,10 +113,9 @@ def op_latency_cycles(delay_ns: Rational, f_mhz: Rational) -> int:
 
 def min_ii(ddg: Ddg, f_mhz: Rational) -> int:
     """Smallest feasible initiation interval of the DDG at clock ``f_mhz``."""
-    ddg.validate()
     lat = _latencies(ddg, f_mhz)
     edges = _collapsed_edges(ddg)
-    if not _has_any_cycle(lat, edges):
+    if _toposort(lat, edges)[1] is None:
         return 1
     hi = sum(lat.values())
     lo = 1
@@ -135,35 +134,61 @@ def critical_cycle(ddg: Ddg, f_mhz: Rational) -> list[str]:
 
     Ties are broken by the lexicographically smallest op-id sequence,
     after rotating each cycle to start at its smallest op id.
+
+    Under the potentials of the maximum ratio, the tight edges are exactly
+    those on cycles attaining it, so the answer is the lexicographically
+    smallest cycle of the tight subgraph.  It is built greedily: the
+    smallest op that closes a cycle through larger ops, then at each step
+    the smallest op from which that start is still reachable.
     """
-    ddg.validate()
     lat = _latencies(ddg, f_mhz)
     edges = _collapsed_edges(ddg)
-    if not _has_any_cycle(lat, edges):
+    if _toposort(lat, edges)[1] is None:
         raise ValidationError("acyclic: ddg has no dependence cycle")
 
     lam = _max_cycle_ratio(lat, edges)
     _, pot = _positive_cycle(lat, edges, lam)
-    tight = nx.DiGraph()
+    succ: dict[str, list[str]] = {v: [] for v in lat}
     for (u, v), dist in edges.items():
         if pot[u] + lat[u] - lam * dist == pot[v]:
-            tight.add_edge(u, v)
-    candidates = [_canonical(c) for c in nx.simple_cycles(tight)]
-    if not candidates:  # pragma: no cover - the ratio search guarantees one
-        raise AssertionError("no cycle attains the computed ratio")
-    return min(candidates)
+            succ[u].append(v)
+    for vs in succ.values():
+        vs.sort()
+
+    def returns(v: str, s: str, used) -> bool:
+        # whether some path from v through unused ops above s reaches s
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w == s:
+                    return True
+                if w > s and w not in seen and w not in used:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    s = next(s for s in sorted(succ) if returns(s, s, ()))
+    cycle = [s]
+    while s not in succ[cycle[-1]]:
+        used = set(cycle)
+        cycle.append(
+            next(v for v in succ[cycle[-1]] if v > s and v not in used and returns(v, s, used))
+        )
+    return cycle
 
 
 def pipeline_depth(ddg: Ddg, f_mhz: Rational) -> int:
     """Longest latency-weighted path over intra-iteration (dist 0) edges."""
-    ddg.validate()
     lat = _latencies(ddg, f_mhz)
-    g = nx.DiGraph()
-    g.add_nodes_from(lat)
-    g.add_edges_from((d.src, d.dst) for d in ddg.deps if d.dist == 0)
-    depth = {}
-    for v in nx.topological_sort(g):
-        depth[v] = lat[v] + max((depth[u] for u in g.predecessors(v)), default=0)
+    dist0 = [(d.src, d.dst) for d in ddg.deps if d.dist == 0]
+    preds: dict[str, list[str]] = {v: [] for v in lat}
+    for u, v in dist0:
+        preds[v].append(u)
+    order, _ = _toposort(lat, dist0)
+    depth: dict[str, int] = {}
+    for v in order:
+        depth[v] = lat[v] + max((depth[u] for u in preds[v]), default=0)
     return max(depth.values())
 
 
@@ -182,22 +207,17 @@ def _collapsed_edges(ddg: Ddg) -> dict[tuple[str, str], int]:
     return edges
 
 
-def _dist0_cycle(ddg: Ddg) -> list[str] | None:
-    g = nx.DiGraph()
-    g.add_nodes_from(op.id for op in ddg.ops)
-    g.add_edges_from((d.src, d.dst) for d in ddg.deps if d.dist == 0)
+def _toposort(
+    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> tuple[list | None, list | None]:
+    """(topological order, None), or (None, a cycle from its smallest node)."""
+    ts = TopologicalSorter({v: () for v in nodes})
+    for u, v in edges:
+        ts.add(v, u)
     try:
-        cyc = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return _canonical([u for u, _ in cyc])
-
-
-def _has_any_cycle(lat: dict[str, int], edges: dict[tuple[str, str], int]) -> bool:
-    g = nx.DiGraph()
-    g.add_nodes_from(lat)
-    g.add_edges_from(edges)
-    return not nx.is_directed_acyclic_graph(g)
+        return list(ts.static_order()), None
+    except CycleError as e:
+        return None, _canonical(e.args[1][:-1])
 
 
 def _positive_cycle(

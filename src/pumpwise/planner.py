@@ -50,6 +50,8 @@ class TaskPlan:
 
 @dataclass(frozen=True)
 class PumpPlan:
+    """Operating point of every task under one strategy, validated when built."""
+
     strategy: str
     tasks: Mapping[str, TaskPlan]
     kernel_base_clock_mhz: Fraction
@@ -58,14 +60,15 @@ class PumpPlan:
         object.__setattr__(
             self, "kernel_base_clock_mhz", as_fraction(self.kernel_base_clock_mhz)
         )
+        self.validate()
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy: {self.strategy}")
-        if as_fraction(self.kernel_base_clock_mhz) <= 0:
+        if self.kernel_base_clock_mhz <= 0:
             raise ValidationError("kernel_base_clock_mhz must be positive")
         for name, e in self.tasks.items():
-            if e.m < 1 or e.ii < 1 or as_fraction(e.f_mhz) <= 0:
+            if e.m < 1 or e.ii < 1 or e.f_mhz <= 0:
                 raise ValidationError(f"plan entry for {name} is out of domain")
 
 
@@ -87,7 +90,7 @@ def graph_throughput(dfg: Dfg, plan: PumpPlan) -> Fraction:
     """Effective graph throughput in msps, clipped by the memory bound."""
     thr = compute_throughput(dfg, plan)
     if dfg.memory_bound_msps is not None:
-        thr = min(thr, as_fraction(dfg.memory_bound_msps))
+        thr = min(thr, dfg.memory_bound_msps)
     return thr
 
 
@@ -133,10 +136,10 @@ def make_plan(dfg: Dfg, f_base_mhz: Rational, strategy: str) -> PumpPlan:
     if f_base <= 0:
         raise ValidationError("f_base_mhz must be positive")
     for t in dfg.tasks:
-        if f_base > as_fraction(t.f_max_mhz):
+        if f_base > t.f_max_mhz:
             raise InfeasibleError(
                 f"base clock infeasible: task {t.name} meets timing only up to "
-                f"{float(as_fraction(t.f_max_mhz)):g} MHz"
+                f"{float(t.f_max_mhz):g} MHz"
             )
 
     entries: dict[str, TaskPlan] = {}
@@ -254,9 +257,7 @@ def plan_from_dict(data) -> PumpPlan:
         if not isinstance(ii, int) or isinstance(ii, bool) or ii < 1:
             raise ParseError(f"plan.tasks.{name}.ii: expected a positive integer")
         entries[name] = TaskPlan(m, num_from_json(f, f"plan.tasks.{name}.f_mhz"), ii)
-    plan = PumpPlan(strategy, entries, base)
-    plan.validate()
-    return plan
+    return PumpPlan(strategy, entries, base)
 
 
 def save_plan(plan: PumpPlan, path: Union[str, Path]) -> None:

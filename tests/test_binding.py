@@ -9,7 +9,6 @@ from pumpwise import (
     ValidationError,
     bind,
     datasets,
-    dsp_constraint,
     fu_count,
     load_dfg,
     make_plan,
@@ -26,15 +25,18 @@ from pumpwise import (
         (4, 2, 2),
         (0, 5, 0),
         (1, 7, 1),
+        (1, 4, 1),
     ],
 )
 def test_fu_count_examples(n_op, ii, want):
     assert fu_count(n_op, ii) == want
 
 
-@pytest.mark.parametrize("n,m,want", [(225, 3, 75), (225, 1, 225), (1, 4, 1)])
+@pytest.mark.parametrize("n,m,want", [(225, 3, 75), (225, 1, 225)])
 def test_dsp_constraint_examples(n, m, want):
-    assert dsp_constraint(n, m) == want
+    # the synthesis-time DSP constraint of an M-times pumped task is the same
+    # ceiling as binding its N DSP ops at the base II of 1 and sharing M-fold
+    assert fu_count(fu_count(n, 1), m) == fu_count(n, m) == want
 
 
 @pytest.mark.parametrize("base,m,want", [(8, 2, 4), (8, 3, 3), (1, 5, 1), (15, 2, 8)])
@@ -47,8 +49,6 @@ def test_domain_errors():
         fu_count(3, 0)
     with pytest.raises(ValidationError):
         fu_count(-1, 1)
-    with pytest.raises(ValidationError):
-        dsp_constraint(1, 0)
     with pytest.raises(ValidationError):
         scaled_partition(0, 1)
 
@@ -65,10 +65,8 @@ def test_sharing_invariants_random_scan():
         if n >= 1:
             assert fu_count(n, n) == 1
         m = rng.randint(1, 16)
-        # the synthesis-time DSP constraint is the same ceiling as binding
-        assert dsp_constraint(n, m) == fu_count(n, m)
-        # constraining a shared count again composes multiplicatively
-        assert dsp_constraint(fu_count(n, ii), m) == fu_count(n, ii * m)
+        # sharing a shared count again composes multiplicatively
+        assert fu_count(fu_count(n, ii), m) == fu_count(n, ii * m)
 
 
 def test_bind_conv2d_base_plan():

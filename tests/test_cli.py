@@ -1,9 +1,12 @@
 """CLI: command output, exit codes, golden CSV, pipeline composition."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pumpwise
 from pumpwise import datasets
 from pumpwise.cli import (
     EXIT_INFEASIBLE,
@@ -161,6 +164,37 @@ def test_simulate_small_window_warns(capsys, tmp_path):
     assert "measurement window too small" in err
 
 
+def test_short_runs_cap_the_default_warmup(capsys, tmp_path):
+    # the default warmup of conv2d m-pump at 165 MHz is 120 tokens; a
+    # 100-iteration run keeps half of it for the measurement window
+    plan = tmp_path / "m.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "165", "--out", str(plan))[0] == EXIT_OK
+    code, out, err = run(capsys, "simulate", CONV, str(plan), "--iterations", "100")
+    assert code == EXIT_OK
+    assert "(50 samples)" in err
+    assert "  Filter2D: 100" in out
+    code, _, err = run(capsys, "report", CONV, "--f-base", "165", "--out",
+                       str(tmp_path / "bundle"), "--iterations", "100")
+    assert code == EXIT_OK
+    # an explicit warmup is still checked against the iteration count
+    code, _, err = run(capsys, "simulate", CONV, str(plan), "--iterations", "100",
+                       "--warmup", "120")
+    assert code == EXIT_INVALID
+    assert "warmup must satisfy" in err
+
+
+def test_simulate_rejects_clock_above_f_max(capsys, tmp_path):
+    plan = tmp_path / "m.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "250", "--out", str(plan))[0] == EXIT_OK
+    data = json.loads(plan.read_text())
+    data["tasks"]["Filter2D"] = {"m": 1, "f_mhz": 5000, "ii": 1}
+    plan.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", CONV, str(plan))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "task Filter2D: plan clock 5000 MHz exceeds f_max 500 MHz" in err
+
+
 def test_simulate_regression_guard(capsys, tmp_path):
     # a 3-deep pipeline behind a single-slot FIFO runs at a third of the
     # analytic rate, far beyond the 5 % guard
@@ -260,6 +294,18 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "Filter2D" in proc.stdout
+
+
+def test_import_needs_no_networkx():
+    # a fresh interpreter, on the same package the tests import
+    env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import pumpwise; import pumpwise.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_commands_byte_identical_across_runs(capsys, tmp_path):

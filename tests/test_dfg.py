@@ -84,6 +84,18 @@ def test_self_channel_and_unknown_endpoint_rejected():
         dfg.validate()
 
 
+def test_ddg_errors_name_the_task(tmp_path):
+    d = _two_task_dict([])
+    d["tasks"][1]["ddg"] = {
+        "ops": [{"id": "b", "class": "add", "delay_ns": 1}, {"id": "a", "class": "add", "delay_ns": 1}],
+        "deps": [{"from": "a", "to": "b", "dist": 0}, {"from": "b", "to": "a", "dist": 0}],
+    }
+    p = tmp_path / "comb.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(ValidationError, match="^task B: combinational cycle: a->b->a$"):
+        load_dfg(p)
+
+
 def test_duplicate_task_name_rejected():
     d = _two_task_dict([])
     d["tasks"][1]["name"] = "A"
@@ -119,11 +131,11 @@ def test_missing_file_is_parse_error(tmp_path):
 
 
 def test_task_requires_ii_or_ddg():
-    t = Task(name="A", f_max_mhz=100, pipeline_depth=1)
     with pytest.raises(ValidationError, match="ii_min_base is required"):
+        t = Task(name="A", f_max_mhz=100, pipeline_depth=1)
         t.validate()
-    t = Task(name="A", f_max_mhz=100, ii_min_base=1)
     with pytest.raises(ValidationError, match="pipeline_depth is required"):
+        t = Task(name="A", f_max_mhz=100, ii_min_base=1)
         t.validate()
 
 
@@ -226,8 +238,8 @@ def test_random_dags_accepted_backedge_rejected():
         # one injected back edge always creates a cycle
         i = rng.randrange(1, n)
         j = rng.randrange(0, i)
-        bad = Dfg(tasks, channels + [Channel(f"T{i}", f"T{j}")], 16)
         with pytest.raises(ValidationError, match="acyclic"):
+            bad = Dfg(tasks, channels + [Channel(f"T{i}", f"T{j}")], 16)
             bad.validate()
 
 

@@ -65,11 +65,11 @@ def test_min_ii_acyclic_filter_body_is_one():
 
 
 def test_min_ii_combinational_cycle_rejected():
-    ddg = Ddg(
-        [Op("a", "add", 1.0), Op("b", "add", 1.0)],
-        [Dep("a", "b", 0), Dep("b", "a", 0)],
-    )
     with pytest.raises(ValidationError, match="combinational cycle"):
+        ddg = Ddg(
+            [Op("a", "add", 1.0), Op("b", "add", 1.0)],
+            [Dep("a", "b", 0), Dep("b", "a", 0)],
+        )
         min_ii(ddg, 100)
 
 

@@ -110,6 +110,13 @@ def test_warmup_must_be_smaller_than_iterations():
         simulate(dfg, plan, SimConfig(10, -1))
 
 
+def test_zero_length_window_rejected():
+    # one iteration of a one-task graph: its only sink start is at 0
+    dfg = Dfg([Task(name="A", f_max_mhz=100, ii_min_base=1, pipeline_depth=1)], [], 8)
+    with pytest.raises(SimulationError, match="measurement window has zero length"):
+        simulate(dfg, make_plan(dfg, 100, "base"), SimConfig(1, 0))
+
+
 def test_single_task_graph_exact():
     dfg = Dfg([Task(name="A", f_max_mhz=320, n_op_dsp=4, ii_min_base=2, pipeline_depth=3)], [], 8)
     plan = make_plan(dfg, 320, "base")
@@ -336,9 +343,9 @@ def test_memory_independent_of_iterations():
 def test_cyclic_or_zero_depth_channels_rejected():
     tasks = [Task(name=n, f_max_mhz=100, ii_min_base=1, pipeline_depth=1) for n in "AB"]
     plan = PumpPlan("base", {n: TaskPlan(1, Fraction(100), 1) for n in "AB"}, Fraction(100))
-    cyclic = Dfg(tasks, [Channel("A", "B"), Channel("B", "A")], 8)
     with pytest.raises(ValidationError, match="acyclic"):
+        cyclic = Dfg(tasks, [Channel("A", "B"), Channel("B", "A")], 8)
         simulate(cyclic, plan, SimConfig(10, 0))
-    empty = Dfg(tasks, [Channel("A", "B", depth=0)], 8)
     with pytest.raises(ValidationError, match="depth"):
+        empty = Dfg(tasks, [Channel("A", "B", depth=0)], 8)
         simulate(empty, plan, SimConfig(10, 0))
