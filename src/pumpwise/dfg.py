@@ -151,7 +151,7 @@ class Dfg:
     def min_f_max_mhz(self) -> Fraction:
         return min(t.f_max_mhz for t in self.tasks)
 
-    def validate(self, f_base_mhz: Rational | None = None) -> None:
+    def validate(self) -> None:
         if not self.tasks:
             raise ValidationError("empty graph: at least one task is required")
         names = [t.name for t in self.tasks]
@@ -181,8 +181,6 @@ class Dfg:
             raise ValidationError("channel graph must be acyclic: " + "->".join(cyc + cyc[:1]))
         index = {n: i for i, n in enumerate(names)}
         object.__setattr__(self, "task_order", tuple(index[n] for n in order))
-        if f_base_mhz is not None:
-            self._cross_check_ii(as_fraction(f_base_mhz))
 
     def _cross_check_ii(self, f_base: Fraction) -> None:
         # the declared ii_min_base only makes a claim for clocks the task

@@ -12,10 +12,11 @@ with the clock frequency, so the II lower bound is non-decreasing in the
 clock, while the II itself never bends to the clock (the II constraint
 wins; timing feasibility is expressed through per-task f_max instead).
 
-The II search runs over integer candidates: a candidate II is feasible
-iff the DDG has no cycle with sum(latency) - II * sum(dist) > 0, decided
-by positive-cycle detection on edge weights latency(src) - II * dist.
-The ceiling in the contract makes this integer search exact.
+One exact solver serves both: Newton's method on the cycle ratio
+(Dinkelbach).  From lambda = 0, a Bellman-Ford longest-path pass with
+weights latency(src) - lambda * dist either finds a positive cycle, whose
+larger ratio becomes the next lambda, or converges: lambda is then the
+exact maximum ratio, and the potentials mark the cycles attaining it.
 """
 
 from __future__ import annotations
@@ -113,20 +114,8 @@ def op_latency_cycles(delay_ns: Rational, f_mhz: Rational) -> int:
 
 def min_ii(ddg: Ddg, f_mhz: Rational) -> int:
     """Smallest feasible initiation interval of the DDG at clock ``f_mhz``."""
-    lat = _latencies(ddg, f_mhz)
-    edges = _collapsed_edges(ddg)
-    if _toposort(lat, edges)[1] is None:
-        return 1
-    hi = sum(lat.values())
-    lo = 1
-    # smallest integer II with no positive cycle; feasibility is monotone in II
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _positive_cycle(lat, edges, Fraction(mid))[0]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    lam, _ = _max_cycle_ratio(_latencies(ddg, f_mhz), _collapsed_edges(ddg))
+    return max(1, ceil(lam))
 
 
 def critical_cycle(ddg: Ddg, f_mhz: Rational) -> list[str]:
@@ -143,11 +132,9 @@ def critical_cycle(ddg: Ddg, f_mhz: Rational) -> list[str]:
     """
     lat = _latencies(ddg, f_mhz)
     edges = _collapsed_edges(ddg)
-    if _toposort(lat, edges)[1] is None:
+    lam, pot = _max_cycle_ratio(lat, edges)
+    if lam == 0:
         raise ValidationError("acyclic: ddg has no dependence cycle")
-
-    lam = _max_cycle_ratio(lat, edges)
-    _, pot = _positive_cycle(lat, edges, lam)
     succ: dict[str, list[str]] = {v: [] for v in lat}
     for (u, v), dist in edges.items():
         if pot[u] + lat[u] - lam * dist == pot[v]:
@@ -224,51 +211,57 @@ def _positive_cycle(
     lat: dict[str, int],
     edges: dict[tuple[str, str], int],
     lam: Fraction,
-) -> tuple[bool, dict[str, Fraction]]:
+) -> tuple[list[str] | None, dict[str, Fraction]]:
     """Bellman-Ford longest-path pass with weights latency(src) - lam * dist.
 
-    Returns (True, _) when some cycle has positive total weight, i.e. the
-    cycle ratio exceeds ``lam``.  When no positive cycle exists the second
-    item holds converged potentials with pot[v] >= pot[u] + w(u, v) on
-    every edge, so every maximum-ratio cycle is tight under them.
+    Returns (cycle, _) with a cycle of positive total weight, i.e. one
+    whose ratio exceeds ``lam``, when such a cycle exists.  Otherwise it
+    returns (None, pot) with converged potentials, pot[v] >= pot[u] + w(u, v)
+    on every edge, so every maximum-ratio cycle is tight under them.
     """
     pot = {v: Fraction(0) for v in lat}
+    pred: dict[str, str] = {}
     edge_list = [(u, v, lat[u] - lam * dist) for (u, v), dist in edges.items()]
     for _ in range(len(pot)):
-        changed = False
+        last = None
         for u, v, w in edge_list:
             cand = pot[u] + w
             if cand > pot[v]:
                 pot[v] = cand
-                changed = True
-        if not changed:
-            return False, pot
-    return True, pot
+                pred[v] = u
+                last = v
+        if last is None:
+            return None, pot
+    # a vertex still improving on pass n has a predecessor chain that ends
+    # in a cycle, and every cycle of predecessors has positive weight;
+    # n steps back from it lie on that cycle
+    for _ in range(len(pot)):
+        last = pred[last]
+    cycle = [last]
+    while pred[cycle[-1]] != last:
+        cycle.append(pred[cycle[-1]])
+    cycle.reverse()
+    return cycle, pot
 
 
-def _max_cycle_ratio(lat: dict[str, int], edges: dict[tuple[str, str], int]) -> Fraction:
-    """Exact maximum of sum(latency)/sum(dist) over all cycles.
+def _max_cycle_ratio(
+    lat: dict[str, int], edges: dict[tuple[str, str], int]
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """Exact maximum of sum(latency)/sum(dist) over all cycles, 0 when acyclic.
 
-    Bisects between infeasible and feasible ratios until the interval
-    isolates a single rational with denominator <= sum of all distances,
-    then recovers it exactly.
+    Newton's method on the ratio: each positive cycle found at ``lam``
+    has a strictly larger ratio, which becomes the next ``lam``.  Returns
+    the maximum with the potentials converged at it.
     """
-    qmax = max(1, sum(edges.values()))
-    lo = Fraction(0)
-    hi = Fraction(sum(lat.values()))
-    if not _positive_cycle(lat, edges, lo)[0]:  # pragma: no cover - caller ensures a cycle
-        raise AssertionError("no cycle with positive latency")
-    gap = Fraction(1, 2 * qmax * qmax)
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _positive_cycle(lat, edges, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    lam = ((lo + hi) / 2).limit_denominator(qmax)
-    if _positive_cycle(lat, edges, lam)[0]:  # pragma: no cover - safety net
-        raise AssertionError("ratio recovery failed")
-    return lam
+    lam = Fraction(0)
+    while True:
+        cycle, pot = _positive_cycle(lat, edges, lam)
+        if cycle is None:
+            return lam, pot
+        lam = Fraction(
+            sum(lat[v] for v in cycle),
+            sum(edges[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])),
+        )
 
 
 def _canonical(cycle: Iterable[str]) -> list[str]:

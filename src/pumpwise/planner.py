@@ -38,14 +38,20 @@ STRATEGIES = ("base", "s-pump", "m-pump")
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Per-task operating point: pump factor, clock, initiation interval."""
+    """Per-task pump factor, clock and initiation interval, validated when built."""
 
     m: int
     f_mhz: Fraction
     ii: int
 
     def __post_init__(self):
+        for key in ("m", "ii"):
+            v = getattr(self, key)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValidationError(f"{key}: expected a positive integer")
         object.__setattr__(self, "f_mhz", as_fraction(self.f_mhz))
+        if self.f_mhz <= 0:
+            raise ValidationError("f_mhz: expected a positive number")
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,6 @@ class PumpPlan:
             raise ValidationError(f"unknown strategy: {self.strategy}")
         if self.kernel_base_clock_mhz <= 0:
             raise ValidationError("kernel_base_clock_mhz must be positive")
-        for name, e in self.tasks.items():
-            if e.m < 1 or e.ii < 1 or e.f_mhz <= 0:
-                raise ValidationError(f"plan entry for {name} is out of domain")
 
 
 def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
@@ -142,32 +145,32 @@ def make_plan(dfg: Dfg, f_base_mhz: Rational, strategy: str) -> PumpPlan:
                 f"{float(t.f_max_mhz):g} MHz"
             )
 
+    ii0 = {t.name: t.ii_min_at(f_base) for t in dfg.tasks}
     entries: dict[str, TaskPlan] = {}
     if strategy == "base":
         for t in dfg.tasks:
-            entries[t.name] = TaskPlan(1, f_base, t.ii_min_at(f_base))
+            entries[t.name] = TaskPlan(1, f_base, ii0[t.name])
     elif strategy == "m-pump":
         for t in dfg.tasks:
-            ii0 = t.ii_min_at(f_base)
             m = max_pump_factor(t.f_max_mhz, f_base, t.n_op_dsp)
-            entries[t.name] = TaskPlan(m, m * f_base, m * ii0)
+            entries[t.name] = TaskPlan(m, m * f_base, m * ii0[t.name])
     else:
         s = max_single_pump_factor(dfg, f_base)
         for t in dfg.tasks:
-            ii0 = t.ii_min_at(f_base)
             if t.n_op_dsp > 0:
-                entries[t.name] = TaskPlan(s, s * f_base, s * ii0)
+                entries[t.name] = TaskPlan(s, s * f_base, s * ii0[t.name])
             else:
-                entries[t.name] = TaskPlan(1, s * f_base, ii0)
+                entries[t.name] = TaskPlan(1, s * f_base, ii0[t.name])
     plan = PumpPlan(strategy, entries, f_base)
 
     # pumping scales f and ii together, so no task loses throughput and the
     # graph bottleneck can only stay or rise
     for t in dfg.tasks:
         e = entries[t.name]
-        assert task_throughput(e.f_mhz, e.ii) >= task_throughput(f_base, t.ii_min_at(f_base))
+        base_rate = task_throughput(f_base, ii0[t.name])
+        assert task_throughput(e.f_mhz, e.ii) >= base_rate
         if e.m > 1 and t.n_op_dsp > 0:
-            assert task_throughput(e.f_mhz, e.ii) == task_throughput(f_base, t.ii_min_at(f_base))
+            assert task_throughput(e.f_mhz, e.ii) == base_rate
     return plan
 
 
@@ -249,14 +252,11 @@ def plan_from_dict(data) -> PumpPlan:
     for name, rec in raw.items():
         if not isinstance(rec, dict):
             raise ParseError(f"plan.tasks.{name}: expected an object")
-        m = rec.get("m")
-        ii = rec.get("ii")
-        f = rec.get("f_mhz")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ParseError(f"plan.tasks.{name}.m: expected a positive integer")
-        if not isinstance(ii, int) or isinstance(ii, bool) or ii < 1:
-            raise ParseError(f"plan.tasks.{name}.ii: expected a positive integer")
-        entries[name] = TaskPlan(m, num_from_json(f, f"plan.tasks.{name}.f_mhz"), ii)
+        f = num_from_json(rec.get("f_mhz"), f"plan.tasks.{name}.f_mhz")
+        try:
+            entries[name] = TaskPlan(rec.get("m"), f, rec.get("ii"))
+        except ValidationError as e:
+            raise ParseError(f"plan.tasks.{name}.{e}") from None
     return PumpPlan(strategy, entries, base)
 
 

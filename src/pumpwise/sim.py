@@ -59,11 +59,17 @@ MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
 class SimConfig:
     """Measurement window: total tokens to emit and tokens excluded up front.
 
-    The timeline unit is fixed at integer picoseconds.
+    The timeline unit is fixed at integer picoseconds.  Validated when built.
     """
 
     iterations: int
     warmup: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.iterations, int) or self.iterations < 1:
+            raise ValidationError("iterations must be a positive integer")
+        if not isinstance(self.warmup, int) or not 0 <= self.warmup < self.iterations:
+            raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,10 +118,6 @@ def simulate(
     check_plan_coverage(dfg, plan)
     iterations = cfg.iterations
     warmup = cfg.warmup
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ValidationError("iterations must be a positive integer")
-    if not isinstance(warmup, int) or warmup < 0 or warmup >= iterations:
-        raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
 
     ntasks = len(dfg.tasks)
     names = [t.name for t in dfg.tasks]

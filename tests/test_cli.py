@@ -183,6 +183,17 @@ def test_short_runs_cap_the_default_warmup(capsys, tmp_path):
     assert "warmup must satisfy" in err
 
 
+def test_invalid_warmup_exits_without_window_warning(capsys, tmp_path):
+    # the config is rejected when built, before any window arithmetic
+    plan = tmp_path / "m.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "165", "--out", str(plan))[0] == EXIT_OK
+    code, out, err = run(capsys, "simulate", CONV, str(plan), "--iterations", "100",
+                         "--warmup", "120")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: warmup must satisfy 0 <= warmup < iterations\n"
+
+
 def test_simulate_rejects_clock_above_f_max(capsys, tmp_path):
     plan = tmp_path / "m.plan"
     assert run(capsys, "optimize", CONV, "--f-base", "250", "--out", str(plan))[0] == EXIT_OK

@@ -131,6 +131,21 @@ def test_critical_cycle_matches_bruteforce():
         assert cyc == oracle_critical_cycle(ddg, f)
 
 
+def test_max_cycle_ratio_matches_bruteforce():
+    from pumpwise.ii import _collapsed_edges, _latencies, _max_cycle_ratio
+
+    rng = random.Random(2468)
+    acyclic = 0
+    for _ in range(200):
+        ddg = random_ddg(rng, max_ops=rng.choice([4, 8, 12]))
+        f = rng.choice(FREQ_CHOICES)
+        lam, _ = _max_cycle_ratio(_latencies(ddg, f), _collapsed_edges(ddg))
+        want, _ = max_ratio(ddg, f)
+        assert lam == (0 if want is None else want)
+        acyclic += want is None
+    assert 0 < acyclic < 200  # both kinds of DDG were drawn
+
+
 def test_feasibility_is_monotone_in_ii():
     # no positive cycle at II implies none at any larger II
     from fractions import Fraction as F

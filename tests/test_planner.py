@@ -10,7 +10,9 @@ from pumpwise import (
     Channel,
     Dfg,
     InfeasibleError,
+    PumpPlan,
     Task,
+    TaskPlan,
     ValidationError,
     bind,
     compute_throughput,
@@ -25,7 +27,7 @@ from pumpwise import (
     sweep,
     task_throughput,
 )
-from conftest import feasible_f_base, random_pipeline_dfg
+from conftest import feasible_f_base, random_ddg, random_pipeline_dfg
 
 
 @pytest.mark.parametrize("f,ii,want", [(500, 2, 250), (250, 1, 250), (100, 1, 100), (330, 4, Fraction(165, 2))])
@@ -301,3 +303,61 @@ def test_plan_file_validation(tmp_path):
     p.write_text('{"strategy": "warp", "kernel_base_clock_mhz": 100, "tasks": {}}')
     with pytest.raises(ParseError, match="strategy"):
         load_plan(p)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 0])
+def test_task_plan_factors_must_be_positive_integers(bad):
+    with pytest.raises(ValidationError, match="m: expected a positive integer"):
+        TaskPlan(bad, 330, 2)
+    with pytest.raises(ValidationError, match="ii: expected a positive integer"):
+        TaskPlan(2, 330, bad)
+
+
+def test_task_plan_rejects_non_positive_clock():
+    with pytest.raises(ValidationError, match="f_mhz"):
+        TaskPlan(1, 0, 1)
+
+
+def test_invalid_plan_entry_never_reaches_bind():
+    # a fractional factor used to be accepted here and crash bind
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    tasks = dict(make_plan(dfg, 165, "m-pump").tasks)
+    with pytest.raises(ValidationError, match="m: expected a positive integer"):
+        tasks["Filter2D"] = TaskPlan(1.5, 330, 2.5)
+        PumpPlan("m-pump", tasks, 165)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 0])
+def test_plan_file_entry_errors_name_the_field(tmp_path, bad):
+    from pumpwise import ParseError
+
+    p = tmp_path / "bad.plan"
+    for key in ("m", "ii"):
+        entry = {"m": 1, "f_mhz": 100, "ii": 1, key: bad}
+        p.write_text(json.dumps({"strategy": "base", "kernel_base_clock_mhz": 100,
+                                 "tasks": {"A": entry}}))
+        with pytest.raises(ParseError) as e:
+            load_plan(p)
+        assert str(e.value) == f"plan.tasks.A.{key}: expected a positive integer"
+
+
+def test_make_plan_computes_each_base_ii_once(monkeypatch):
+    import pumpwise.dfg
+
+    rng = random.Random(4242)
+    tasks = [Task(name=f"T{i}", f_max_mhz=900, n_op_dsp=8 * i, ddg=random_ddg(rng))
+             for i in range(3)]
+    tasks.append(Task(name="plain", f_max_mhz=900, ii_min_base=1, pipeline_depth=1))
+    dfg = Dfg(tasks, [Channel("T0", "T1"), Channel("T1", "T2"), Channel("T2", "plain")], 4096)
+    calls = []
+    real = pumpwise.dfg.min_ii
+
+    def counting_min_ii(ddg, f_mhz):
+        calls.append(ddg)
+        return real(ddg, f_mhz)
+
+    monkeypatch.setattr(pumpwise.dfg, "min_ii", counting_min_ii)
+    for strategy in ("base", "s-pump", "m-pump"):
+        calls.clear()
+        make_plan(dfg, 150, strategy)
+        assert calls == [t.ddg for t in tasks[:3]]
