@@ -13,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import datasets
-from .binding import bind
+from .binding import BindingResult, bind
+from .codec import as_fraction
 from .dfg import Dfg, load_dfg
-from .errors import InfeasibleError, ParseError, SimulationError, ValidationError
-from .ii import as_fraction
+from .errors import InfeasibleError, ParseError, PumpwiseError
 from .planner import (
     STRATEGIES,
     PumpPlan,
@@ -102,8 +102,7 @@ def _sweep_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plan_table(dfg: Dfg, plan: PumpPlan) -> str:
-    binding = bind(dfg, plan)
+def _plan_table(dfg: Dfg, plan: PumpPlan, binding: BindingResult) -> str:
     rows = []
     for t in dfg.tasks:
         e = plan.tasks[t.name]
@@ -159,17 +158,16 @@ def cmd_analyze(args) -> int:
 def cmd_optimize(args) -> int:
     dfg = load_dfg(_resolve(args.dfg), f_base_mhz=args.f_base)
     plan = make_plan(dfg, args.f_base, args.strategy)
-    base = make_plan(dfg, args.f_base, "base")
-    dsp_before = bind(dfg, base).total_dsp
-    dsp_after = bind(dfg, plan).total_dsp
+    dsp_before = bind(dfg, make_plan(dfg, args.f_base, "base")).total_dsp
+    binding = bind(dfg, plan)
     thr = graph_throughput(dfg, plan)
     out = args.out or f"{Path(args.dfg).stem}.{args.strategy}{_fmt_num(args.f_base)}.plan"
     save_plan(plan, out)
-    print(_plan_table(dfg, plan))
+    print(_plan_table(dfg, plan, binding))
     if args.strategy == "s-pump":
         s = max_single_pump_factor(dfg, args.f_base)
         print(f"kernel clock: {_fmt_num(s * args.f_base)} MHz")
-    print(f"DSP {dsp_before} -> {dsp_after}, throughput {_fmt_msps(thr)} msps preserved")
+    print(f"DSP {dsp_before} -> {binding.total_dsp}, throughput {_fmt_msps(thr)} msps preserved")
     print(f"plan written: {out}")
     return EXIT_OK
 
@@ -231,37 +229,33 @@ def cmd_report(args) -> int:
     rows = sweep(dfg, f_lo, f_hi, args.step)
     (outdir / "sweep.csv").write_text(_sweep_csv(rows))
 
-    sim_lines = ["strategy,analytic_msps,simulated_msps,rel_err_pct"]
+    sim_header = ["strategy", "analytic_msps", "simulated_msps", "rel_err_pct"]
     sim_rows = []
     errs = {}
     for s, plan in plans.items():
         report = simulate(dfg, plan, SimConfig(args.iterations, _warmup(args, dfg, plan)))
         analytic = compute_throughput(dfg, plan)
-        err = abs(report.throughput_msps - analytic) / analytic
-        errs[s] = err
-        sim_lines.append(
-            f"{s},{_fmt_msps(analytic)},{_fmt_msps(report.throughput_msps)},"
-            f"{float(err) * 100:.3f}"
-        )
+        err = errs[s] = abs(report.throughput_msps - analytic) / analytic
         sim_rows.append(
             [s, _fmt_msps(analytic), _fmt_msps(report.throughput_msps), f"{float(err) * 100:.3f}"]
         )
-    (outdir / "simcheck.csv").write_text("\n".join(sim_lines) + "\n")
+    (outdir / "simcheck.csv").write_text(
+        "".join(",".join(cells) + "\n" for cells in [sim_header] + sim_rows)
+    )
 
     summary = []
     summary.append(f"graph: {args.dfg}")
     summary.append(f"base clock: {_fmt_num(args.f_base)} MHz")
     summary.append(f"effective throughput: {_fmt_msps(graph_throughput(dfg, plans['base']))} msps")
     summary.append("")
-    for s in STRATEGIES:
+    for s, plan in plans.items():
+        binding = bind(dfg, plan)
         summary.append(f"[{s}]")
-        summary.append(_plan_table(dfg, plans[s]))
-        summary.append(f"total DSP: {bind(dfg, plans[s]).total_dsp}")
+        summary.append(_plan_table(dfg, plan, binding))
+        summary.append(f"total DSP: {binding.total_dsp}")
         summary.append("")
     summary.append("simulation cross-check:")
-    summary.append(
-        _table(["strategy", "analytic_msps", "simulated_msps", "rel_err_pct"], sim_rows)
-    )
+    summary.append(_table(sim_header, sim_rows))
     summary.append("")
     summary.append(f"sweep rows: {len(rows)} ({_fmt_num(f_lo)}..{_fmt_num(f_hi)} "
                    f"MHz step {_fmt_num(args.step)})")
@@ -351,21 +345,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as e:
+    except (PumpwiseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except InfeasibleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SimulationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_INFEASIBLE if isinstance(e, InfeasibleError) else EXIT_INVALID
 
 
 def console_main() -> None:

@@ -1,24 +1,51 @@
-"""JSON reading and the exact encoding of rational numbers in files.
+"""Outside values in, model values out: numbers, counts and JSON fields.
 
-Graph and plan files hold rationals.  Decimal literals are read as exact
-rationals, not binary floats.  On output an integer stays an integer, a
+The one place where values from files, the command line and library
+callers become model values; it depends on nothing in the package but
+``errors``.  Numbers are exact, finite rationals: a float means its
+shortest decimal repr (0.1 is 1/10), and JSON decimals and ``"p/q"``
+strings are read exactly.  On output an integer stays an integer, a
 rational whose shortest float repr reads back exactly stays a decimal,
-and any other rational is written as the string ``"p/q"``, so that every
-value survives a save and a load unchanged.
+and any other rational becomes ``"p/q"``, so every value survives a save
+and a load.  Counts are ``int``, never ``bool``.  The JSON field readers
+name the offending field in their ``ParseError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .errors import ParseError
-from .ii import as_fraction
+from .errors import ParseError, ValidationError
+
+Rational = Union[int, float, Fraction]
 
 _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
+_MISSING = object()
+
+
+def as_fraction(x: Rational) -> Fraction:
+    """Exact rational from an int, Fraction, or finite decimal-intended float."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"expected a number, got {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"expected a finite number, got {x!r}")
+    # str() round-trips the shortest decimal, so 0.1 means 1/10, not the
+    # nearest binary double
+    return Fraction(str(x))
+
+
+def is_int(v, least: int | None = None) -> bool:
+    """Whether ``v`` is an ``int`` but not a ``bool``, and at least ``least`` if given."""
+    return isinstance(v, int) and not isinstance(v, bool) and (least is None or v >= least)
 
 
 def load_json(path: Union[str, Path]):
@@ -34,14 +61,22 @@ def load_json(path: Union[str, Path]):
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
 
 
+def save_json(data, path: Union[str, Path]) -> None:
+    """Write ``data`` as indented JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+
+
 def num_from_json(v, where: str) -> Fraction:
-    """Exact rational from a JSON number or a ``"p/q"`` string."""
+    """Exact rational from a finite JSON number or a ``"p/q"`` string."""
     if isinstance(v, str):
         if _RATIO.fullmatch(v) and int(v.partition("/")[2]) != 0:
             return Fraction(v)
         raise ParseError(f'{where}: expected a number or a "p/q" string')
     if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
         raise ParseError(f"{where}: expected a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        # NaN and Infinity, which the json module accepts as literals
+        raise ParseError(f"{where}: expected a finite number")
     return as_fraction(v)
 
 
@@ -53,3 +88,32 @@ def num_to_json(x: Fraction):
     if Fraction(repr(f)) == x:
         return f
     return f"{x.numerator}/{x.denominator}"
+
+
+# JSON field readers: errors name where.key; an absent or null field gives the default, if any
+def get_field(rec: dict, key: str, typ, where: str):
+    if key not in rec:
+        raise ParseError(f"{where}.{key}: missing required field")
+    v = rec[key]
+    if not isinstance(v, typ) or isinstance(v, bool):
+        raise ParseError(f"{where}.{key}: expected {typ.__name__}")
+    return v
+
+
+def get_int(rec: dict, key: str, where: str, default=_MISSING):
+    if key not in rec or rec[key] is None:
+        if default is _MISSING:
+            raise ParseError(f"{where}.{key}: missing required field")
+        return default
+    v = rec[key]
+    if not is_int(v):
+        raise ParseError(f"{where}.{key}: expected an integer")
+    return v
+
+
+def get_num(rec: dict, key: str, where: str, default=_MISSING):
+    if key not in rec or rec[key] is None:
+        if default is _MISSING:
+            raise ParseError(f"{where}.{key}: missing required field")
+        return default
+    return num_from_json(rec[key], f"{where}.{key}")

@@ -13,15 +13,15 @@ estimates timing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .codec import load_json, num_from_json, num_to_json
+from .codec import Rational, as_fraction, get_field, get_int, get_num, is_int, load_json
+from .codec import num_to_json, save_json
 from .errors import ParseError, ValidationError
-from .ii import Ddg, Dep, Op, Rational, _toposort, as_fraction, min_ii
+from .ii import Ddg, Dep, Op, _toposort, min_ii
 from .ii import pipeline_depth as ddg_pipeline_depth
 
 DEFAULT_CHANNEL_DEPTH = 2
@@ -57,21 +57,17 @@ class Task:
             raise ValidationError(f"task {self.name}: f_max_mhz must be positive")
         for field_name in ("n_op_dsp", "n_op_mem"):
             v = getattr(self, field_name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not is_int(v, 0):
                 raise ValidationError(
                     f"task {self.name}: {field_name} must be a nonnegative integer"
                 )
-        if not isinstance(self.base_partition_factor, int) or self.base_partition_factor < 1:
+        if not is_int(self.base_partition_factor, 1):
             raise ValidationError(
                 f"task {self.name}: base_partition_factor must be a positive integer"
             )
-        if self.ii_min_base is not None and (
-            not isinstance(self.ii_min_base, int) or self.ii_min_base < 1
-        ):
+        if self.ii_min_base is not None and not is_int(self.ii_min_base, 1):
             raise ValidationError(f"task {self.name}: ii_min_base must be >= 1")
-        if self.pipeline_depth is not None and (
-            not isinstance(self.pipeline_depth, int) or self.pipeline_depth < 1
-        ):
+        if self.pipeline_depth is not None and not is_int(self.pipeline_depth, 1):
             raise ValidationError(f"task {self.name}: pipeline_depth must be >= 1")
         if self.ddg is None:
             if self.ii_min_base is None:
@@ -158,11 +154,7 @@ class Dfg:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate task name: {dup[0]}")
-        if (
-            not isinstance(self.device_dsp_total, int)
-            or isinstance(self.device_dsp_total, bool)
-            or self.device_dsp_total < 1
-        ):
+        if not is_int(self.device_dsp_total, 1):
             raise ValidationError("device_dsp_total must be a positive integer")
         if self.memory_bound_msps is not None and self.memory_bound_msps <= 0:
             raise ValidationError("memory_bound_msps must be positive")
@@ -174,7 +166,7 @@ class Dfg:
                 raise ValidationError(f"channel names unknown task: {c.dst}")
             if c.src == c.dst:
                 raise ValidationError(f"channel endpoints must differ: {c.src}")
-            if not isinstance(c.depth, int) or isinstance(c.depth, bool) or c.depth < 1:
+            if not is_int(c.depth, 1):
                 raise ValidationError(f"channel {c.src}->{c.dst}: depth must be >= 1")
         order, cyc = _toposort(names, ((c.src, c.dst) for c in self.channels))
         if cyc is not None:
@@ -222,8 +214,6 @@ def merge_characterization(dfg: Dfg, ch: Characterization) -> Dfg:
 
 # --- file ingestion -------------------------------------------------------
 
-_MISSING = object()
-
 
 def load_dfg(path: Union[str, Path], f_base_mhz: Rational | None = None) -> Dfg:
     """Load and validate a graph description file.
@@ -238,7 +228,7 @@ def load_dfg(path: Union[str, Path], f_base_mhz: Rational | None = None) -> Dfg:
 
 
 def save_dfg(dfg: Dfg, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(dfg_to_dict(dfg), indent=2) + "\n")
+    save_json(dfg_to_dict(dfg), path)
 
 
 def load_characterization(path: Union[str, Path]) -> Characterization:
@@ -250,8 +240,8 @@ def load_characterization(path: Union[str, Path]) -> Characterization:
         if not isinstance(rec, dict):
             raise ParseError(f"{name}: expected an object with f_max_mhz and n_op_dsp")
         entries[name] = (
-            _num(rec, "f_max_mhz", name),
-            _int(rec, "n_op_dsp", name),
+            get_num(rec, "f_max_mhz", name),
+            get_int(rec, "n_op_dsp", name),
         )
     return Characterization(entries)
 
@@ -259,14 +249,14 @@ def load_characterization(path: Union[str, Path]) -> Characterization:
 def dfg_from_dict(data) -> Dfg:
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
-    raw_tasks = _field(data, "tasks", list, "$")
+    raw_tasks = get_field(data, "tasks", list, "$")
     raw_channels = data.get("channels", [])
     if not isinstance(raw_channels, list):
         raise ParseError("channels: expected an array")
     tasks = [_task_from_dict(rec, f"tasks[{i}]") for i, rec in enumerate(raw_tasks)]
     channels = [_channel_from_dict(rec, f"channels[{i}]") for i, rec in enumerate(raw_channels)]
-    device = _int(data, "device_dsp_total", "$")
-    bound = _num(data, "memory_bound_msps", "$", default=None)
+    device = get_int(data, "device_dsp_total", "$")
+    bound = get_num(data, "memory_bound_msps", "$", default=None)
     return Dfg(tasks, channels, device, bound)
 
 
@@ -284,7 +274,7 @@ def dfg_to_dict(dfg: Dfg) -> dict:
 def _task_from_dict(rec, where: str) -> Task:
     if not isinstance(rec, dict):
         raise ParseError(f"{where}: expected an object")
-    name = _field(rec, "name", str, where)
+    name = get_field(rec, "name", str, where)
     ddg = None
     if "ddg" in rec and rec["ddg"] is not None:
         try:
@@ -293,12 +283,12 @@ def _task_from_dict(rec, where: str) -> Task:
             raise ValidationError(f"task {name}: {e}") from None
     return Task(
         name=name,
-        f_max_mhz=_num(rec, "f_max_mhz", where),
-        n_op_dsp=_int(rec, "n_op_dsp", where, default=0),
-        n_op_mem=_int(rec, "n_op_mem", where, default=0),
-        base_partition_factor=_int(rec, "base_partition_factor", where, default=1),
-        ii_min_base=_int(rec, "ii_min_base", where, default=None),
-        pipeline_depth=_int(rec, "pipeline_depth", where, default=None),
+        f_max_mhz=get_num(rec, "f_max_mhz", where),
+        n_op_dsp=get_int(rec, "n_op_dsp", where, default=0),
+        n_op_mem=get_int(rec, "n_op_mem", where, default=0),
+        base_partition_factor=get_int(rec, "base_partition_factor", where, default=1),
+        ii_min_base=get_int(rec, "ii_min_base", where, default=None),
+        pipeline_depth=get_int(rec, "pipeline_depth", where, default=None),
         ddg=ddg,
     )
 
@@ -332,16 +322,16 @@ def _channel_from_dict(rec, where: str) -> Channel:
     if not isinstance(rec, dict):
         raise ParseError(f"{where}: expected an object")
     return Channel(
-        src=_field(rec, "from", str, where),
-        dst=_field(rec, "to", str, where),
-        depth=_int(rec, "depth", where, default=DEFAULT_CHANNEL_DEPTH),
+        src=get_field(rec, "from", str, where),
+        dst=get_field(rec, "to", str, where),
+        depth=get_int(rec, "depth", where, default=DEFAULT_CHANNEL_DEPTH),
     )
 
 
 def _ddg_from_dict(rec, where: str) -> Ddg:
     if not isinstance(rec, dict):
         raise ParseError(f"{where}: expected an object")
-    raw_ops = _field(rec, "ops", list, where)
+    raw_ops = get_field(rec, "ops", list, where)
     raw_deps = rec.get("deps", [])
     if not isinstance(raw_deps, list):
         raise ParseError(f"{where}.deps: expected an array")
@@ -350,39 +340,14 @@ def _ddg_from_dict(rec, where: str) -> Ddg:
         w = f"{where}.ops[{i}]"
         if not isinstance(o, dict):
             raise ParseError(f"{w}: expected an object")
-        ops.append(Op(_field(o, "id", str, w), _field(o, "class", str, w), _num(o, "delay_ns", w)))
+        op_id, cls = get_field(o, "id", str, w), get_field(o, "class", str, w)
+        ops.append(Op(op_id, cls, get_num(o, "delay_ns", w)))
     deps = []
     for i, d in enumerate(raw_deps):
         w = f"{where}.deps[{i}]"
         if not isinstance(d, dict):
             raise ParseError(f"{w}: expected an object")
-        deps.append(Dep(_field(d, "from", str, w), _field(d, "to", str, w), _int(d, "dist", w)))
+        src, dst = get_field(d, "from", str, w), get_field(d, "to", str, w)
+        deps.append(Dep(src, dst, get_int(d, "dist", w)))
     return Ddg(ops, deps)
 
-
-def _field(rec: dict, key: str, typ, where: str):
-    if key not in rec:
-        raise ParseError(f"{where}.{key}: missing required field")
-    v = rec[key]
-    if not isinstance(v, typ) or isinstance(v, bool):
-        raise ParseError(f"{where}.{key}: expected {typ.__name__}")
-    return v
-
-
-def _int(rec: dict, key: str, where: str, default=_MISSING):
-    if key not in rec or rec[key] is None:
-        if default is _MISSING:
-            raise ParseError(f"{where}.{key}: missing required field")
-        return default
-    v = rec[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ParseError(f"{where}.{key}: expected an integer")
-    return v
-
-
-def _num(rec: dict, key: str, where: str, default=_MISSING):
-    if key not in rec or rec[key] is None:
-        if default is _MISSING:
-            raise ParseError(f"{where}.{key}: missing required field")
-        return default
-    return num_from_json(rec[key], f"{where}.{key}")

@@ -17,6 +17,9 @@ One exact solver serves both: Newton's method on the cycle ratio
 weights latency(src) - lambda * dist either finds a positive cycle, whose
 larger ratio becomes the next lambda, or converges: lambda is then the
 exact maximum ratio, and the potentials mark the cycles attaining it.
+
+Delays and clocks are exact rationals throughout; ``codec.as_fraction``
+converts what callers pass in.
 """
 
 from __future__ import annotations
@@ -25,24 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from math import ceil
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence
 
+from .codec import Rational, as_fraction, is_int
 from .errors import ValidationError
-
-Rational = Union[int, float, Fraction]
-
-
-def as_fraction(x: Rational) -> Fraction:
-    """Exact rational from an int, Fraction, or decimal-intended float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(f"expected a number, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    # str() round-trips the shortest decimal, so 0.1 means 1/10, not the
-    # nearest binary double
-    return Fraction(str(x))
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,7 @@ class Ddg:
             if dep.src not in known or dep.dst not in known:
                 missing = dep.src if dep.src not in known else dep.dst
                 raise ValidationError(f"dependence names unknown op: {missing}")
-            if not isinstance(dep.dist, int) or isinstance(dep.dist, bool) or dep.dist < 0:
+            if not is_int(dep.dist, 0):
                 raise ValidationError(
                     f"dependence {dep.src}->{dep.dst}: dist must be a nonnegative integer"
                 )

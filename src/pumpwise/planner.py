@@ -21,17 +21,15 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
 
 from .binding import bind, check_plan_coverage
-from .codec import load_json, num_from_json, num_to_json
+from .codec import Rational, as_fraction, is_int, load_json, num_from_json, num_to_json, save_json
 from .dfg import Dfg
 from .errors import InfeasibleError, ParseError, ValidationError
-from .ii import Rational, as_fraction
 
 STRATEGIES = ("base", "s-pump", "m-pump")
 
@@ -47,7 +45,7 @@ class TaskPlan:
     def __post_init__(self):
         for key in ("m", "ii"):
             v = getattr(self, key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not is_int(v, 1):
                 raise ValidationError(f"{key}: expected a positive integer")
         object.__setattr__(self, "f_mhz", as_fraction(self.f_mhz))
         if self.f_mhz <= 0:
@@ -261,7 +259,7 @@ def plan_from_dict(data) -> PumpPlan:
 
 
 def save_plan(plan: PumpPlan, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n")
+    save_json(plan_to_dict(plan), path)
 
 
 def load_plan(path: Union[str, Path]) -> PumpPlan:

@@ -46,9 +46,9 @@ from pathlib import Path
 from typing import Union
 
 from .binding import check_plan_coverage
+from .codec import as_fraction, is_int
 from .dfg import Dfg
 from .errors import SimulationError, ValidationError
-from .ii import as_fraction
 from .planner import PumpPlan, compute_throughput
 
 PS_PER_MICROSECOND = 10**6
@@ -66,9 +66,9 @@ class SimConfig:
     warmup: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if not is_int(self.iterations, 1):
             raise ValidationError("iterations must be a positive integer")
-        if not isinstance(self.warmup, int) or not 0 <= self.warmup < self.iterations:
+        if not is_int(self.warmup, 0) or self.warmup >= self.iterations:
             raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
 
 

@@ -328,3 +328,23 @@ def test_commands_byte_identical_across_runs(capsys, tmp_path):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_non_finite_input_exits_two_without_traceback(tmp_path):
+    graph = json.loads(Path(CONV).read_text())
+    graph["tasks"][0]["f_max_mhz"] = "@"
+    bad_graph = tmp_path / "nan.json"
+    bad_graph.write_text(json.dumps(graph).replace('"@"', "NaN"))
+    plan = tmp_path / "inf.plan"
+    plan.write_text('{"strategy": "base", "kernel_base_clock_mhz": Infinity, '
+                    '"tasks": {"ReadFromMem": {"m": 1, "f_mhz": 165, "ii": 1}}}')
+    env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
+    for argv, msg in [
+        (["analyze", str(bad_graph), "--f-base", "165"], "tasks[0].f_max_mhz"),
+        (["simulate", CONV, str(plan)], "plan.kernel_base_clock_mhz"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "pumpwise.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stderr == f"error: {msg}: expected a finite number\n"
+        assert proc.stdout == ""

@@ -285,3 +285,42 @@ def test_dfg_to_dict_omits_absent_optionals():
     d = dfg_to_dict(dfg)
     assert "memory_bound_msps" not in d
     assert "ddg" not in d["tasks"][0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_rejected_in_model(bad):
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        Task(name="A", f_max_mhz=bad, ii_min_base=1, pipeline_depth=1)
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        Op("a", "mul", delay_ns=bad)
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        Dfg([Task(name="A", f_max_mhz=100, ii_min_base=1, pipeline_depth=1)], [], 10, bad)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_in_files_name_the_field(tmp_path, literal):
+    # the json module reads these literals as floats; no file may carry them
+    p = tmp_path / "bad.json"
+    d = _two_task_dict([])
+    d["tasks"][0]["f_max_mhz"] = "@"
+    p.write_text(json.dumps(d).replace('"@"', literal))
+    with pytest.raises(ParseError) as e:
+        load_dfg(p)
+    assert str(e.value) == "tasks[0].f_max_mhz: expected a finite number"
+
+    d = _two_task_dict([])
+    d["memory_bound_msps"] = "@"
+    d["tasks"][1] = {"name": "B", "f_max_mhz": 300,
+                     "ddg": {"ops": [{"id": "a", "class": "mul", "delay_ns": 1}]}}
+    p.write_text(json.dumps(d).replace('"@"', literal))
+    with pytest.raises(ParseError, match=r"^\$\.memory_bound_msps: expected a finite number$"):
+        load_dfg(p)
+    d["memory_bound_msps"] = 100
+    d["tasks"][1]["ddg"]["ops"][0]["delay_ns"] = "@"
+    p.write_text(json.dumps(d).replace('"@"', literal))
+    with pytest.raises(ParseError, match=r"^tasks\[1\]\.ddg\.ops\[0\]\.delay_ns: expected a fin"):
+        load_dfg(p)
+
+    p.write_text('{"Filter2D": {"f_max_mhz": %s, "n_op_dsp": 225}}' % literal)
+    with pytest.raises(ParseError, match=r"^Filter2D\.f_max_mhz: expected a finite number$"):
+        load_characterization(p)

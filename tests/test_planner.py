@@ -361,3 +361,33 @@ def test_make_plan_computes_each_base_ii_once(monkeypatch):
         calls.clear()
         make_plan(dfg, 150, strategy)
         assert calls == [t.ddg for t in tasks[:3]]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_clocks_rejected(bad):
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        TaskPlan(1, bad, 1)
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        PumpPlan("base", make_plan(dfg, 165, "base").tasks, bad)
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        make_plan(dfg, bad, "m-pump")
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        sweep(dfg, 100, bad, 5)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_plan_file_names_the_field(tmp_path, literal):
+    from pumpwise import ParseError
+
+    p = tmp_path / "bad.plan"
+    p.write_text('{"strategy": "base", "kernel_base_clock_mhz": %s, '
+                 '"tasks": {"A": {"m": 1, "f_mhz": 100, "ii": 1}}}' % literal)
+    with pytest.raises(ParseError) as e:
+        load_plan(p)
+    assert str(e.value) == "plan.kernel_base_clock_mhz: expected a finite number"
+    p.write_text('{"strategy": "base", "kernel_base_clock_mhz": 100, '
+                 '"tasks": {"A": {"m": 1, "f_mhz": %s, "ii": 1}}}' % literal)
+    with pytest.raises(ParseError) as e:
+        load_plan(p)
+    assert str(e.value) == "plan.tasks.A.f_mhz: expected a finite number"
