@@ -50,7 +50,6 @@ from .sim import (
     clock_period_ps,
     default_warmup,
     simulate,
-    validate_plan_throughput,
 )
 
 __version__ = "0.1.0"
@@ -101,5 +100,4 @@ __all__ = [
     "simulate",
     "sweep",
     "task_throughput",
-    "validate_plan_throughput",
 ]

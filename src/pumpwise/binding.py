@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .codec import is_int
 from .dfg import Dfg
 from .errors import ValidationError
 
@@ -21,17 +22,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def fu_count(n_op: int, ii: int) -> int:
     """Functional units for n_op same-class operations at initiation interval ii."""
-    if ii < 1:
-        raise ValidationError("ii must be >= 1")
-    if n_op < 0:
-        raise ValidationError("n_op must be >= 0")
+    if not is_int(ii, 1):
+        raise ValidationError("ii must be an integer >= 1")
+    if not is_int(n_op, 0):
+        raise ValidationError("n_op must be an integer >= 0")
     return -(-n_op // ii)
 
 
 def scaled_partition(base_factor: int, m: int) -> int:
     """Memory partitioning factor after scaling down by the pump factor."""
-    if base_factor < 1 or m < 1:
-        raise ValidationError("base_factor and m must be >= 1")
+    if not (is_int(base_factor, 1) and is_int(m, 1)):
+        raise ValidationError("base_factor and m must be integers >= 1")
     return max(1, -(-base_factor // m))
 
 

@@ -118,11 +118,25 @@ def _plan_table(dfg: Dfg, plan: PumpPlan, binding: BindingResult) -> str:
     return _table(["task", "factor", "f_mhz", "ii", "dsp"], rows)
 
 
-def _warmup(args, dfg: Dfg, plan: PumpPlan) -> int:
-    # the default leaves at least half the iterations to measure
-    if args.warmup is not None:
-        return args.warmup
-    return min(default_warmup(dfg, plan), args.iterations // 2)
+def _cross_check(args, dfg: Dfg, plan: PumpPlan, prefix: str = "", trace=None):
+    """Simulate ``plan`` and compare it with the analytic model.
+
+    Returns the report, the analytic throughput and their relative error.
+    The simulator models compute only, so the analytic reference excludes
+    the memory bound.  The default warmup leaves at least half the
+    iterations to measure.
+    """
+    warmup = args.warmup
+    if warmup is None:
+        warmup = min(default_warmup(dfg, plan), args.iterations // 2)
+    cfg = SimConfig(args.iterations, warmup)
+    window = cfg.iterations - cfg.warmup
+    if window < 100:
+        print(f"warning: {prefix}measurement window too small ({window} samples)",
+              file=sys.stderr)
+    report = simulate(dfg, plan, cfg, trace_path=trace)
+    analytic = compute_throughput(dfg, plan)
+    return report, analytic, abs(report.throughput_msps - analytic) / analytic
 
 
 def _regression_error(prefix: str, err: Fraction) -> None:
@@ -189,17 +203,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     dfg = load_dfg(_resolve(args.dfg))
     plan = load_plan(args.plan)
-    warmup = _warmup(args, dfg, plan)
-    cfg = SimConfig(iterations=args.iterations, warmup=warmup)
-    if args.iterations - warmup < 100:
-        print(
-            f"warning: measurement window too small "
-            f"({args.iterations - warmup} samples)",
-            file=sys.stderr,
-        )
-    report = simulate(dfg, plan, cfg, trace_path=args.trace)
-    analytic = compute_throughput(dfg, plan)
-    err = abs(report.throughput_msps - analytic) / analytic
+    report, analytic, err = _cross_check(args, dfg, plan, trace=args.trace)
     print(f"throughput: {_fmt_msps(report.throughput_msps)} msps")
     print(f"analytic:   {_fmt_msps(analytic)} msps")
     print(f"relative error: {float(err) * 100:.3f} %")
@@ -216,32 +220,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # every output is computed before the first file is written, so an
+    # invalid input leaves nothing behind
     dfg = load_dfg(_resolve(args.dfg), f_base_mhz=args.f_base)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     plans = {s: make_plan(dfg, args.f_base, s) for s in STRATEGIES}
-    for s, plan in plans.items():
-        save_plan(plan, outdir / f"plan-{s}.json")
-
     f_lo = args.f_lo if args.f_lo is not None else args.f_base
     f_hi = args.f_hi if args.f_hi is not None else dfg.min_f_max_mhz
     rows = sweep(dfg, f_lo, f_hi, args.step)
-    (outdir / "sweep.csv").write_text(_sweep_csv(rows))
 
     sim_header = ["strategy", "analytic_msps", "simulated_msps", "rel_err_pct"]
     sim_rows = []
     errs = {}
     for s, plan in plans.items():
-        report = simulate(dfg, plan, SimConfig(args.iterations, _warmup(args, dfg, plan)))
-        analytic = compute_throughput(dfg, plan)
-        err = errs[s] = abs(report.throughput_msps - analytic) / analytic
+        report, analytic, errs[s] = _cross_check(args, dfg, plan, prefix=f"{s}: ")
         sim_rows.append(
-            [s, _fmt_msps(analytic), _fmt_msps(report.throughput_msps), f"{float(err) * 100:.3f}"]
+            [s, _fmt_msps(analytic), _fmt_msps(report.throughput_msps),
+             f"{float(errs[s]) * 100:.3f}"]
         )
-    (outdir / "simcheck.csv").write_text(
-        "".join(",".join(cells) + "\n" for cells in [sim_header] + sim_rows)
-    )
 
     summary = []
     summary.append(f"graph: {args.dfg}")
@@ -260,6 +255,15 @@ def cmd_report(args) -> int:
     summary.append(f"sweep rows: {len(rows)} ({_fmt_num(f_lo)}..{_fmt_num(f_hi)} "
                    f"MHz step {_fmt_num(args.step)})")
     text = "\n".join(summary) + "\n"
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for s, plan in plans.items():
+        save_plan(plan, outdir / f"plan-{s}.json")
+    (outdir / "sweep.csv").write_text(_sweep_csv(rows))
+    (outdir / "simcheck.csv").write_text(
+        "".join(",".join(cells) + "\n" for cells in [sim_header] + sim_rows)
+    )
     (outdir / "summary.txt").write_text(text)
     sys.stdout.write(text)
     failed = [s for s, err in errs.items() if err > SIM_REGRESSION_LIMIT]

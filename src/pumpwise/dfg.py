@@ -48,9 +48,6 @@ class Task:
 
     def __post_init__(self):
         object.__setattr__(self, "f_max_mhz", as_fraction(self.f_max_mhz))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.name:
             raise ValidationError("task name must be non-empty")
         if self.f_max_mhz <= 0:

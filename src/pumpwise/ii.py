@@ -65,9 +65,6 @@ class Ddg:
     def __init__(self, ops: Sequence[Op], deps: Sequence[Dep] = ()):
         object.__setattr__(self, "ops", tuple(ops))
         object.__setattr__(self, "deps", tuple(deps))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.ops:
             raise ValidationError("ddg has no operations")
         ids = [op.id for op in self.ops]

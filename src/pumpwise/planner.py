@@ -64,9 +64,6 @@ class PumpPlan:
         object.__setattr__(
             self, "kernel_base_clock_mhz", as_fraction(self.kernel_base_clock_mhz)
         )
-        self.validate()
-
-    def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy: {self.strategy}")
         if self.kernel_base_clock_mhz <= 0:
@@ -76,8 +73,8 @@ class PumpPlan:
 def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
     """Samples per microsecond a task sustains: clock over initiation interval."""
     f = as_fraction(f_mhz)
-    if f <= 0 or ii < 1:
-        raise ValidationError("task_throughput requires f > 0 and ii >= 1")
+    if f <= 0 or not is_int(ii, 1):
+        raise ValidationError("task_throughput requires f > 0 and an integer ii >= 1")
     return f / ii
 
 
@@ -104,6 +101,8 @@ def max_pump_factor(f_max_mhz: Rational, f_base_mhz: Rational, n_op: int) -> int
     f_base = as_fraction(f_base_mhz)
     if f_max <= 0 or f_base <= 0:
         raise ValidationError("frequencies must be positive")
+    if not is_int(n_op, 0):
+        raise ValidationError("n_op must be an integer >= 0")
     headroom = int(f_max // f_base)
     if headroom < 1:
         raise InfeasibleError(
@@ -255,7 +254,10 @@ def plan_from_dict(data) -> PumpPlan:
             entries[name] = TaskPlan(rec.get("m"), f, rec.get("ii"))
         except ValidationError as e:
             raise ParseError(f"plan.tasks.{name}.{e}") from None
-    return PumpPlan(strategy, entries, base)
+    try:
+        return PumpPlan(strategy, entries, base)
+    except ValidationError:
+        raise ParseError("plan.kernel_base_clock_mhz: expected a positive number") from None
 
 
 def save_plan(plan: PumpPlan, path: Union[str, Path]) -> None:

@@ -49,7 +49,7 @@ from .binding import check_plan_coverage
 from .codec import as_fraction, is_int
 from .dfg import Dfg
 from .errors import SimulationError, ValidationError
-from .planner import PumpPlan, compute_throughput
+from .planner import PumpPlan
 
 PS_PER_MICROSECOND = 10**6
 MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
@@ -229,17 +229,6 @@ def simulate(
         channels=channels,
         firings={n: iterations for n in names},
     )
-
-
-def validate_plan_throughput(dfg: Dfg, plan: PumpPlan, cfg: SimConfig) -> Fraction:
-    """Relative error of simulated vs analytic bottleneck throughput.
-
-    The simulator models compute only, so the reference deliberately
-    excludes the memory bound.
-    """
-    analytic = compute_throughput(dfg, plan)
-    report = simulate(dfg, plan, cfg)
-    return abs(report.throughput_msps - analytic) / analytic
 
 
 def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:

@@ -120,7 +120,6 @@ def oracle_simulate(
     woken by the event that unblocks it.
     """
     check_plan_coverage(dfg, plan)
-    plan.validate()
     iterations = cfg.iterations
     warmup = cfg.warmup
     if not isinstance(iterations, int) or iterations < 1:

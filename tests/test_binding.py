@@ -51,6 +51,13 @@ def test_domain_errors():
         fu_count(-1, 1)
     with pytest.raises(ValidationError):
         scaled_partition(0, 1)
+    # counts are integers, never fractions or booleans
+    for n_op, ii in [(3.5, 2), (True, 1), (3, 1.5), (3, True)]:
+        with pytest.raises(ValidationError):
+            fu_count(n_op, ii)
+    for base, m in [(1.5, 1), (True, 2), (8, 2.5), (8, True)]:
+        with pytest.raises(ValidationError):
+            scaled_partition(base, m)
 
 
 def test_sharing_invariants_random_scan():

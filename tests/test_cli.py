@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pumpwise
 from pumpwise import datasets
 from pumpwise.cli import (
@@ -270,6 +272,35 @@ def test_report_regression_exit_code(capsys, tmp_path):
     assert stdout == (out / "summary.txt").read_text()
 
 
+def test_report_warns_about_a_short_window(capsys, tmp_path):
+    code, _, err = run(capsys, "report", CONV, "--f-base", "165", "--out",
+                       str(tmp_path / "bundle"), "--iterations", "150", "--warmup", "149")
+    assert code == EXIT_OK
+    assert err.splitlines() == [
+        f"warning: {s}: measurement window too small (1 samples)"
+        for s in ("base", "s-pump", "m-pump")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--step", "0"], EXIT_INVALID, "step must be positive"),
+        (["--f-lo", "0"], EXIT_INVALID, "empty range: need 0 < f_lo <= f_hi"),
+        (["--iterations", "0"], EXIT_INVALID, "iterations must be a positive integer"),
+        (["--iterations", "300", "--warmup", "300"], EXIT_INVALID,
+         "warmup must satisfy 0 <= warmup < iterations"),
+        (["--f-base", "600"], EXIT_INFEASIBLE,
+         "base clock infeasible: task ReadFromMem meets timing only up to 330 MHz"),
+    ],
+)
+def test_report_writes_nothing_on_invalid_input(capsys, tmp_path, argv, code, message):
+    out = tmp_path / "bundle"
+    got = run(capsys, "report", CONV, "--f-base", "165", "--out", str(out), *argv)
+    assert got == (code, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_simulate_trace_written(capsys, tmp_path):
     plan = tmp_path / "b.plan"
     run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",
@@ -348,3 +379,18 @@ def test_non_finite_input_exits_two_without_traceback(tmp_path):
         assert proc.returncode == EXIT_INVALID
         assert proc.stderr == f"error: {msg}: expected a finite number\n"
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", CONV, "--f-base", "nan"], "argument --f-base: not a number: 'nan'"),
+        (["analyze", CONV, "--f-base", "inf"], "argument --f-base: not a number: 'inf'"),
+        (["sweep", CONV, "--f-lo", "100", "--f-hi", "200", "--step", "1/0"],
+         "argument --step: not a number: '1/0'"),
+    ],
+)
+def test_input_checks(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == f"pumpwise {argv[0]}: error: {message}"

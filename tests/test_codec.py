@@ -1,4 +1,4 @@
-"""Codec: the count rule, checked on every count field of the model."""
+"""Codec: the count rule on every count field of the model, and the field readers."""
 
 from fractions import Fraction
 
@@ -10,12 +10,13 @@ from pumpwise import (
     Dep,
     Dfg,
     Op,
+    ParseError,
     SimConfig,
     Task,
     TaskPlan,
     ValidationError,
 )
-from pumpwise.codec import is_int
+from pumpwise.codec import as_fraction, get_field, get_int, is_int, num_from_json
 
 
 def _task(**kw):
@@ -70,3 +71,31 @@ def test_is_int():
         assert not is_int(v)
         assert not is_int(v, 0)
 
+
+
+# (call, exception type, exact message) of each reader's rejection
+INPUT_CHECKS = {
+    "as_fraction string": (lambda: as_fraction("1"), ValidationError, "expected a number, got '1'"),
+    "as_fraction None": (lambda: as_fraction(None), ValidationError, "expected a number, got None"),
+    "num_from_json None": (lambda: num_from_json(None, "w"), ParseError, "w: expected a number"),
+    "num_from_json list": (lambda: num_from_json([1], "w"), ParseError, "w: expected a number"),
+    "get_field missing": (
+        lambda: get_field({}, "k", str, "w"), ParseError, "w.k: missing required field"
+    ),
+    "get_field wrong type": (
+        lambda: get_field({"k": 1}, "k", str, "w"), ParseError, "w.k: expected str"
+    ),
+    "get_field bool": (
+        lambda: get_field({"k": True}, "k", int, "w"), ParseError, "w.k: expected int"
+    ),
+    "get_int missing": (lambda: get_int({}, "k", "w"), ParseError, "w.k: missing required field"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as e:
+        call()
+    assert type(e.value) is exc
+    assert str(e.value) == message

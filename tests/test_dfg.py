@@ -132,11 +132,9 @@ def test_missing_file_is_parse_error(tmp_path):
 
 def test_task_requires_ii_or_ddg():
     with pytest.raises(ValidationError, match="ii_min_base is required"):
-        t = Task(name="A", f_max_mhz=100, pipeline_depth=1)
-        t.validate()
+        Task(name="A", f_max_mhz=100, pipeline_depth=1)
     with pytest.raises(ValidationError, match="pipeline_depth is required"):
-        t = Task(name="A", f_max_mhz=100, ii_min_base=1)
-        t.validate()
+        Task(name="A", f_max_mhz=100, ii_min_base=1)
 
 
 def test_decimal_frequencies_load_exactly(tmp_path):
@@ -170,7 +168,6 @@ def test_ii_cross_check_against_ddg(tmp_path):
 def test_ddg_task_derives_ii_and_depth():
     ddg = Ddg([Op("acc", "add", 11.0)], [Dep("acc", "acc", 1)])
     t = Task(name="A", f_max_mhz=500, ddg=ddg)
-    t.validate()
     assert t.ii_min_at(250) == 3
     assert t.ii_min_at(500) == 6
     assert t.pipeline_depth_at(250) == 3
@@ -324,3 +321,93 @@ def test_non_finite_numbers_in_files_name_the_field(tmp_path, literal):
     p.write_text('{"Filter2D": {"f_max_mhz": %s, "n_op_dsp": 225}}' % literal)
     with pytest.raises(ParseError, match=r"^Filter2D\.f_max_mhz: expected a finite number$"):
         load_characterization(p)
+
+
+def _graph(task=(), **top):
+    """A one-task graph description, with task fields and top-level fields overridden."""
+    rec = {"name": "A", "f_max_mhz": 100, "ii_min_base": 1, "pipeline_depth": 1, **dict(task)}
+    return {"tasks": [rec], "device_dsp_total": 8, **top}
+
+
+def _task(**kw):
+    return Task(**{"name": "A", "f_max_mhz": 100, "ii_min_base": 1, "pipeline_depth": 1, **kw})
+
+
+def _characterization(tmp_path, data):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(data))
+    return load_characterization(path)
+
+
+OP = {"id": "a", "class": "add", "delay_ns": 1}
+
+# (call with tmp_path, exception type, exact message; {path} is the file written)
+INPUT_CHECKS = {
+    "empty task name": (lambda tmp: _task(name=""), ValidationError, "task name must be non-empty"),
+    "zero f_max": (
+        lambda tmp: _task(f_max_mhz=0), ValidationError, "task A: f_max_mhz must be positive"
+    ),
+    "zero memory bound": (
+        lambda tmp: Dfg([_task()], [], 8, memory_bound_msps=0),
+        ValidationError,
+        "memory_bound_msps must be positive",
+    ),
+    "channel from unknown task": (
+        lambda tmp: Dfg([_task()], [Channel("Z", "A")], 8),
+        ValidationError,
+        "channel names unknown task: Z",
+    ),
+    "top level": (lambda tmp: dfg_from_dict([]), ParseError, "top level must be an object"),
+    "task record": (
+        lambda tmp: dfg_from_dict({**_graph(), "tasks": [1]}),
+        ParseError,
+        "tasks[0]: expected an object",
+    ),
+    "channels array": (
+        lambda tmp: dfg_from_dict(_graph(channels=1)), ParseError, "channels: expected an array"
+    ),
+    "channel record": (
+        lambda tmp: dfg_from_dict(_graph(channels=[1])),
+        ParseError,
+        "channels[0]: expected an object",
+    ),
+    "ddg record": (
+        lambda tmp: dfg_from_dict(_graph({"ddg": 1})),
+        ParseError,
+        "tasks[0].ddg: expected an object",
+    ),
+    "op record": (
+        lambda tmp: dfg_from_dict(_graph({"ddg": {"ops": [1]}})),
+        ParseError,
+        "tasks[0].ddg.ops[0]: expected an object",
+    ),
+    "deps array": (
+        lambda tmp: dfg_from_dict(_graph({"ddg": {"ops": [OP], "deps": 1}})),
+        ParseError,
+        "tasks[0].ddg.deps: expected an array",
+    ),
+    "dep record": (
+        lambda tmp: dfg_from_dict(_graph({"ddg": {"ops": [OP], "deps": [1]}})),
+        ParseError,
+        "tasks[0].ddg.deps[0]: expected an object",
+    ),
+    "characterization file": (
+        lambda tmp: _characterization(tmp, []),
+        ParseError,
+        "{path}: characterization must be an object",
+    ),
+    "characterization entry": (
+        lambda tmp: _characterization(tmp, {"A": 1}),
+        ParseError,
+        "A: expected an object with f_max_mhz and n_op_dsp",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks(case, tmp_path):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as e:
+        call(tmp_path)
+    assert type(e.value) is exc
+    assert str(e.value) == message.format(path=tmp_path / "ch.json")

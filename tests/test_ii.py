@@ -200,10 +200,32 @@ def test_pipeline_depth_ignores_carried_deps():
 
 def test_ddg_validation_errors():
     with pytest.raises(ValidationError, match="unknown op"):
-        Ddg([Op("a", "add", 1.0)], [Dep("a", "zz", 0)]).validate()
+        Ddg([Op("a", "add", 1.0)], [Dep("a", "zz", 0)])
     with pytest.raises(ValidationError, match="duplicate op id"):
-        Ddg([Op("a", "add", 1.0), Op("a", "mul", 2.0)], []).validate()
+        Ddg([Op("a", "add", 1.0), Op("a", "mul", 2.0)], [])
     with pytest.raises(ValidationError, match="delay_ns"):
-        Ddg([Op("a", "add", 0)], []).validate()
+        Ddg([Op("a", "add", 0)], [])
     with pytest.raises(ValidationError, match="dist"):
-        Ddg([Op("a", "add", 1.0), Op("b", "add", 1.0)], [Dep("a", "b", -1)]).validate()
+        Ddg([Op("a", "add", 1.0), Op("b", "add", 1.0)], [Dep("a", "b", -1)])
+
+
+# (call, exact ValidationError message)
+INPUT_CHECKS = {
+    "no ops": (lambda: Ddg([], []), "ddg has no operations"),
+    "zero delay": (
+        lambda: op_latency_cycles(0, 100),
+        "op_latency_cycles requires positive delay and frequency",
+    ),
+    "zero clock": (
+        lambda: op_latency_cycles(1, 0),
+        "op_latency_cycles requires positive delay and frequency",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValidationError) as e:
+        call()
+    assert str(e.value) == message

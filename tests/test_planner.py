@@ -10,6 +10,7 @@ from pumpwise import (
     Channel,
     Dfg,
     InfeasibleError,
+    ParseError,
     PumpPlan,
     Task,
     TaskPlan,
@@ -27,6 +28,7 @@ from pumpwise import (
     sweep,
     task_throughput,
 )
+from pumpwise.planner import plan_from_dict
 from conftest import feasible_f_base, random_ddg, random_pipeline_dfg
 
 
@@ -391,3 +393,76 @@ def test_non_finite_plan_file_names_the_field(tmp_path, literal):
     with pytest.raises(ParseError) as e:
         load_plan(p)
     assert str(e.value) == "plan.tasks.A.f_mhz: expected a finite number"
+
+
+def _conv():
+    return load_dfg(datasets.path("conv2d.json"))
+
+
+def _plan_file(**kw):
+    return {"strategy": "base", "kernel_base_clock_mhz": 100,
+            "tasks": {"A": {"m": 1, "f_mhz": 100, "ii": 1}}, **kw}
+
+
+THROUGHPUT_ARGS = "task_throughput requires f > 0 and an integer ii >= 1"
+N_OP = "n_op must be an integer >= 0"
+BASE_CLOCK = "plan.kernel_base_clock_mhz: expected a positive number"
+
+# (call, exception type, exact message)
+INPUT_CHECKS = {
+    "unknown strategy": (
+        lambda: PumpPlan("warp", {"A": TaskPlan(1, 100, 1)}, 100),
+        ValidationError,
+        "unknown strategy: warp",
+    ),
+    "task_throughput zero clock": (lambda: task_throughput(0, 1), ValidationError, THROUGHPUT_ARGS),
+    "task_throughput fractional ii": (
+        lambda: task_throughput(100, 1.5), ValidationError, THROUGHPUT_ARGS
+    ),
+    "task_throughput bool ii": (
+        lambda: task_throughput(100, True), ValidationError, THROUGHPUT_ARGS
+    ),
+    "max_pump_factor zero f_max": (
+        lambda: max_pump_factor(0, 100, 1), ValidationError, "frequencies must be positive"
+    ),
+    "max_pump_factor zero f_base": (
+        lambda: max_pump_factor(500, 0, 1), ValidationError, "frequencies must be positive"
+    ),
+    "max_pump_factor fractional n_op": (
+        lambda: max_pump_factor(500, 100, 2.5), ValidationError, N_OP
+    ),
+    "max_pump_factor bool n_op": (lambda: max_pump_factor(500, 100, True), ValidationError, N_OP),
+    "max_pump_factor negative n_op": (lambda: max_pump_factor(500, 100, -1), ValidationError, N_OP),
+    "max_single_pump_factor zero clock": (
+        lambda: max_single_pump_factor(_conv(), 0), ValidationError, "f_base_mhz must be positive"
+    ),
+    "make_plan zero clock": (
+        lambda: make_plan(_conv(), 0, "base"), ValidationError, "f_base_mhz must be positive"
+    ),
+    "plan top level": (lambda: plan_from_dict([]), ParseError, "plan: top level must be an object"),
+    "plan task entry": (
+        lambda: plan_from_dict(_plan_file(tasks={"A": 1})),
+        ParseError,
+        "plan.tasks.A: expected an object",
+    ),
+    "plan no tasks": (
+        lambda: plan_from_dict(_plan_file(tasks={})),
+        ParseError,
+        "plan.tasks: expected a non-empty object",
+    ),
+    "plan negative base clock": (
+        lambda: plan_from_dict(_plan_file(kernel_base_clock_mhz=-1)), ParseError, BASE_CLOCK
+    ),
+    "plan zero base clock": (
+        lambda: plan_from_dict(_plan_file(kernel_base_clock_mhz=0)), ParseError, BASE_CLOCK
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as e:
+        call()
+    assert type(e.value) is exc
+    assert str(e.value) == message

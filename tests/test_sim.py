@@ -22,7 +22,6 @@ from pumpwise import (
     load_dfg,
     make_plan,
     simulate,
-    validate_plan_throughput,
 )
 from conftest import feasible_f_base, random_pipeline_dfg, random_shallow_dfg
 from oracles import oracle_simulate
@@ -49,6 +48,12 @@ def chain(freqs, iis, pds, depths, n_op_dsp=None):
         Fraction(min(freqs)),
     )
     return dfg, plan
+
+
+def model_error(dfg, plan, cfg):
+    """Relative error of the simulated rate against the analytic, memory-unbounded one."""
+    analytic = compute_throughput(dfg, plan)
+    return abs(simulate(dfg, plan, cfg).throughput_msps - analytic) / analytic
 
 
 def test_clock_period_rounding():
@@ -120,7 +125,7 @@ def test_zero_length_window_rejected():
 def test_single_task_graph_exact():
     dfg = Dfg([Task(name="A", f_max_mhz=320, n_op_dsp=4, ii_min_base=2, pipeline_depth=3)], [], 8)
     plan = make_plan(dfg, 320, "base")
-    err = validate_plan_throughput(dfg, plan, SimConfig(10000, 100))
+    err = model_error(dfg, plan, SimConfig(10000, 100))
     assert err <= Fraction(1, 1000)
 
 
@@ -141,7 +146,7 @@ def test_randomized_chains_and_diamonds_fidelity():
         for strategy in ("base", "s-pump", "m-pump"):
             plan = make_plan(dfg, f_base, strategy)
             cfg = SimConfig(10000, default_warmup(dfg, plan))
-            err = validate_plan_throughput(dfg, plan, cfg)
+            err = model_error(dfg, plan, cfg)
             assert err <= Fraction(2, 100), (strategy, float(err))
 
 
@@ -158,7 +163,7 @@ def test_depth_one_rendezvous_single_clock():
         n = rng.randint(2, 6)
         freqs = [rng.randint(100, 500)] * n
         dfg, plan = chain(freqs, [1] * n, [1] * n, [1] * (n - 1))
-        err = validate_plan_throughput(dfg, plan, SimConfig(10000, 100))
+        err = model_error(dfg, plan, SimConfig(10000, 100))
         assert err <= Fraction(5, 100)
 
 
@@ -234,7 +239,7 @@ def test_validate_plan_excludes_memory_bound():
     dfg = load_dfg(datasets.path("optical.json"))
     plan = make_plan(dfg, 200, "base")
     assert compute_throughput(dfg, plan) == 200  # above the 175 msps bound
-    err = validate_plan_throughput(dfg, plan, SimConfig(8000, 100))
+    err = model_error(dfg, plan, SimConfig(8000, 100))
     assert err < Fraction(1, 100)  # reference is the unclamped 200
 
 
@@ -349,3 +354,11 @@ def test_cyclic_or_zero_depth_channels_rejected():
     with pytest.raises(ValidationError, match="depth"):
         empty = Dfg(tasks, [Channel("A", "B", depth=0)], 8)
         simulate(empty, plan, SimConfig(10, 0))
+
+
+@pytest.mark.parametrize("f", [0, -100, Fraction(-1, 3)])
+def test_input_checks(f):
+    with pytest.raises(ValidationError) as e:
+        clock_period_ps(f)
+    assert type(e.value) is ValidationError
+    assert str(e.value) == "clock frequency must be positive"
