@@ -36,14 +36,14 @@ def scaled_partition(base_factor: int, m: int) -> int:
     return max(1, -(-base_factor // m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskBinding:
     n_fu_dsp: int
     n_mem_ports: int
     partition_factor: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BindingResult:
     per_task: dict[str, TaskBinding]
     total_dsp: int

@@ -255,6 +255,8 @@ def cmd_report(args) -> int:
     summary.append(f"sweep rows: {len(rows)} ({_fmt_num(f_lo)}..{_fmt_num(f_hi)} "
                    f"MHz step {_fmt_num(args.step)})")
     text = "\n".join(summary) + "\n"
+    if not rows:
+        print("warning: no feasible base clocks in range", file=sys.stderr)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ estimates timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -27,7 +27,7 @@ from .ii import pipeline_depth as ddg_pipeline_depth
 DEFAULT_CHANNEL_DEPTH = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One dataflow task and its characterization.
 
@@ -91,7 +91,7 @@ class Task:
         return ddg_pipeline_depth(self.ddg, f_mhz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
     """FIFO channel from task ``src`` to task ``dst`` with a token capacity."""
 
@@ -100,7 +100,7 @@ class Channel:
     depth: int = DEFAULT_CHANNEL_DEPTH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dfg:
     """Dataflow graph plus device DSP budget and memory cap, validated when built.
 
@@ -112,6 +112,7 @@ class Dfg:
     channels: tuple[Channel, ...]
     device_dsp_total: int
     memory_bound_msps: Rational | None = None
+    task_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -187,7 +188,7 @@ class Dfg:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Characterization:
     """Per-task (f_max_mhz, n_op_dsp) overrides measured from implementation."""
 

@@ -34,7 +34,7 @@ from .codec import Rational, as_fraction, is_int
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One operation: identifier, class tag (mul, add, load, ...), delay in ns."""
 
@@ -46,7 +46,7 @@ class Op:
         object.__setattr__(self, "delay_ns", as_fraction(self.delay_ns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dep:
     """Dependence edge src -> dst carried across ``dist`` loop iterations."""
 
@@ -55,7 +55,7 @@ class Dep:
     dist: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ddg:
     """Data-dependence graph of one task's pipelined loop body, validated when built."""
 

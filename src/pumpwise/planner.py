@@ -34,7 +34,7 @@ from .errors import InfeasibleError, ParseError, ValidationError
 STRATEGIES = ("base", "s-pump", "m-pump")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskPlan:
     """Per-task pump factor, clock and initiation interval, validated when built."""
 
@@ -52,7 +52,7 @@ class TaskPlan:
             raise ValidationError("f_mhz: expected a positive number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PumpPlan:
     """Operating point of every task under one strategy, validated when built."""
 
@@ -171,7 +171,7 @@ def make_plan(dfg: Dfg, f_base_mhz: Rational, strategy: str) -> PumpPlan:
     return plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One base-frequency sample of the throughput-vs-DSP tradeoff."""
 

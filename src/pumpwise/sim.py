@@ -33,6 +33,23 @@ comes from a same-time event with a larger key runs right after that
 event: the smallest-key topological order of each timestamp.  FIFO
 peaks and the trace follow this order, so a simulation is deterministic
 down to the bit.
+
+A timed marked graph becomes periodic after a transient: the state after
+iteration k + c is the state after iteration k shifted by a time T.
+Every clock edge is a multiple of its period, so a shift by a multiple
+of L, the lcm of all periods, changes no edge rounding and no tie key.
+The search shifts the state after each iteration down by such a
+multiple and compares it with one saved checkpoint (Brent's cycle
+finding), so it needs O(state) memory.  A repeat between iterations k
+and k + c gives T as the difference of the two shifts, and adding j*T to
+every state value then jumps j*c iterations exactly: first up to the
+warmup boundary, where the measurement window opens, then up to
+``iterations``.  The iterations left over run normally; FIFO peaks
+cannot rise once the state repeats.  No repeat can occur before task 0
+starts at or after L, and the search gives up after
+``REPEAT_SEARCH_ITERATIONS`` iterations, so runs without a repeat (mostly
+multi-clock plans whose rounded periods have a huge lcm) cost what the
+plain loop costs.  Trace mode runs every iteration.
 """
 
 from __future__ import annotations
@@ -40,8 +57,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from pathlib import Path
 from typing import Union
 
@@ -53,9 +72,11 @@ from .planner import PumpPlan
 
 PS_PER_MICROSECOND = 10**6
 MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
+# iterations after which the search for a periodic regime gives up
+REPEAT_SEARCH_ITERATIONS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """Measurement window: total tokens to emit and tokens excluded up front.
 
@@ -82,9 +103,23 @@ class ChannelReport:
 
 @dataclass(frozen=True, slots=True)
 class SimReport:
+    """What a run measured: the rate and one FIFO peak per channel of ``dfg``."""
+
     throughput_msps: Fraction
-    channels: tuple[ChannelReport, ...]
-    firings: dict[str, int]
+    peaks: tuple[int, ...]
+    iterations: int
+    dfg: Dfg = field(repr=False)
+
+    @property
+    def channels(self) -> tuple[ChannelReport, ...]:
+        # every task fires ``iterations`` times, so no token is left over
+        return tuple(
+            ChannelReport(c.src, c.dst, peak, 0) for c, peak in zip(self.dfg.channels, self.peaks)
+        )
+
+    @property
+    def firings(self) -> dict[str, int]:
+        return {t.name: self.iterations for t in self.dfg.tasks}
 
 
 def clock_period_ps(f_mhz) -> int:
@@ -167,9 +202,83 @@ def simulate(
         )
         for i in dfg.task_order
     ]
-    warm_k = warmup - 1
+    done = 0
     window_start = 0
-    for k in range(iterations):
+
+    def run(n):
+        """Run n more iterations; the window opens after iteration ``warmup``."""
+        nonlocal done, window_start
+        if done < warmup <= done + n:
+            _advance(steps, warmup - done, K, last, token, peak)
+            n -= warmup - done
+            done = warmup
+            window_start = max(last[i] for i in sinks)
+        _advance(steps, n, K, last, token, peak)
+        done += n
+
+    c = 0  # iterations per period of the repeat, 0 while none is known
+    if history is None:
+        limit = min(iterations, REPEAT_SEARCH_ITERATIONS)
+        L = lcm(*period) * K
+        # no repeat before last[0] >= L, and last[0] grows by at least
+        # ii_ps[0]*K per iteration
+        run(min(limit, (L - last[0]) // (ii_ps[0] * K) + 1))
+
+        # ``token`` is rewritten by each producer before its consumers read
+        # it, so the state is ``last`` and the ``free`` deques
+        def shifted(base):
+            return [v - base for v in chain(last, *free)]
+
+        power = 1
+        ck_done = done
+        ck_base = last[0] - last[0] % L
+        ck_state = shifted(ck_base)
+        while done < limit:
+            run(1)
+            res = last[0] % L
+            base = last[0] - res
+            if res == ck_state[0] and shifted(base) == ck_state:
+                c, T = done - ck_done, base - ck_base
+                break
+            if done - ck_done == power:
+                ck_done, ck_base, ck_state = done, base, shifted(base)
+                power *= 2
+
+    def jump(target):
+        """Skip whole periods of the repeat, up to iteration ``target``."""
+        nonlocal done
+        j = (target - done) // c
+        shift = j * T
+        for i in range(ntasks):
+            last[i] += shift
+        for q in free:
+            for n in range(len(q)):
+                q[n] += shift
+        done += j * c
+
+    if c:
+        if done < warmup:
+            # stop short of the boundary, so that ``run`` opens the window
+            jump(warmup - 1)
+            run(warmup - done)
+        jump(iterations)
+    run(iterations - done)
+
+    # the graph's k-th iteration is done when its last sink consumes it
+    window_end = max(last[i] for i in sinks)
+    if window_end == window_start:
+        raise SimulationError("measurement window has zero length")
+    throughput = Fraction(
+        (iterations - warmup) * PS_PER_MICROSECOND * K, window_end - window_start
+    )
+    if history is not None:
+        _write_trace(trace_path, names, history, K, pd_ps, prod, cons, depth)
+    return SimReport(throughput, tuple(peak), iterations, dfg)
+
+
+def _advance(steps, n, K, last, token, peak) -> None:
+    """Run n iterations of the start-time recurrence."""
+    for _ in range(n):
         for i, per, ii, pd, key, ins, outs, record in steps:
             # the latest of the II spacing, every input token and every free slot
             x = last[i] + ii
@@ -201,34 +310,13 @@ def simulate(
             for c, q, d in outs:
                 token[c] = done
                 if peak[c] < d:
-                    n = 1
+                    occ = 1
                     for y in reversed(q):
                         if y < done:
                             break
-                        n += 1
-                    if n > peak[c]:
-                        peak[c] = n
-        if k == warm_k:
-            window_start = max(last[i] for i in sinks)
-
-    # the graph's k-th iteration is done when its last sink consumes it
-    window_end = max(last[i] for i in sinks)
-    if window_end == window_start:
-        raise SimulationError("measurement window has zero length")
-    throughput = Fraction(
-        (iterations - warmup) * PS_PER_MICROSECOND * K, window_end - window_start
-    )
-    if history is not None:
-        _write_trace(trace_path, names, history, K, pd_ps, prod, cons, depth)
-    channels = tuple(
-        ChannelReport(dfg.channels[c].src, dfg.channels[c].dst, peak[c], 0)
-        for c in range(nchan)
-    )
-    return SimReport(
-        throughput_msps=throughput,
-        channels=channels,
-        firings={n: iterations for n in names},
-    )
+                        occ += 1
+                    if occ > peak[c]:
+                        peak[c] = occ
 
 
 def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:

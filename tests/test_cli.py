@@ -282,6 +282,16 @@ def test_report_warns_about_a_short_window(capsys, tmp_path):
     ]
 
 
+def test_report_warns_about_an_empty_sweep(capsys, tmp_path):
+    out = tmp_path / "bundle"
+    code, stdout, err = run(capsys, "report", CONV, "--f-base", "165", "--out", str(out),
+                            "--f-lo", "400", "--f-hi", "500")
+    assert code == EXIT_OK
+    assert err == "warning: no feasible base clocks in range\n"
+    assert stdout.endswith("sweep rows: 0 (400..500 MHz step 5)\n")
+    assert (out / "sweep.csv").read_text().splitlines() == [GOLDEN_SWEEP.splitlines()[0]]
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [

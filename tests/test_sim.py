@@ -25,6 +25,9 @@ from pumpwise import (
 )
 from conftest import feasible_f_base, random_pipeline_dfg, random_shallow_dfg
 from oracles import oracle_simulate
+from pumpwise import sim
+
+BUDGET = sim.REPEAT_SEARCH_ITERATIONS
 
 
 def chain(freqs, iis, pds, depths, n_op_dsp=None):
@@ -343,6 +346,55 @@ def test_memory_independent_of_iterations():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0]
+
+
+# --- periodic-regime jump ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "iterations,warmup",
+    [
+        (1000, 0),  # iterations below the search budget
+        (BUDGET, BUDGET - 1),  # iterations at the budget
+        (3000, 0),
+        (2000, 100),  # warmup before the budget
+        (3000, BUDGET),  # warmup at the budget
+        (3000, BUDGET + 1),  # warmup after the budget
+        (2500, 2499),
+    ],
+)
+def test_jump_matches_full_loop(iterations, warmup, tmp_path, monkeypatch):
+    # trace mode runs every iteration, so it is the reference for the jump
+    computed = []
+    advance = sim._advance
+
+    def counting(steps, n, *args):
+        computed[-1] += n
+        advance(steps, n, *args)
+
+    monkeypatch.setattr(sim, "_advance", counting)
+    rng = random.Random(iterations * 10007 + warmup)
+    for _ in range(3):
+        dfg, f_base = random_shallow_dfg(rng)
+        for strategy in ("base", "s-pump", "m-pump"):
+            plan = make_plan(dfg, f_base, strategy)
+            cfg = SimConfig(iterations, warmup)
+            computed.append(0)
+            full = simulate(dfg, plan, cfg, trace_path=tmp_path / "trace.csv")
+            assert computed[-1] == iterations
+            computed.append(0)
+            assert simulate(dfg, plan, cfg) == full, (strategy, cfg)
+    # the corpus has single-clock plans, which repeat within a few iterations
+    assert min(computed[1::2]) < iterations // 10
+
+
+def test_jump_reaches_a_billion_iterations():
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    plan = make_plan(dfg, 165, "base")
+    rate = min(e.f_mhz / e.ii for e in plan.tasks.values())
+    rep = simulate(dfg, plan, SimConfig(10**9, 100))
+    assert rep.firings == {t.name: 10**9 for t in dfg.tasks}
+    assert rate * Fraction(999, 1000) <= rep.throughput_msps <= rate * Fraction(1001, 1000)
 
 
 def test_cyclic_or_zero_depth_channels_rejected():
