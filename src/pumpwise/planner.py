@@ -198,25 +198,24 @@ def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[Swee
         raise ValidationError("empty range: need 0 < f_lo <= f_hi")
     if st <= 0:
         raise ValidationError("step must be positive")
-    fmin = dfg.min_f_max_mhz
+    hi = min(hi, dfg.min_f_max_mhz)
     rows = []
     f = lo
     while f <= hi:
-        if f <= fmin:
-            plans = {s: make_plan(dfg, f, s) for s in STRATEGIES}
-            bound = {s: bind(dfg, p) for s, p in plans.items()}
-            rows.append(
-                SweepRow(
-                    f_base_mhz=f,
-                    throughput_msps=graph_throughput(dfg, plans["base"]),
-                    dsp_base=bound["base"].total_dsp,
-                    dsp_s_pump=bound["s-pump"].total_dsp,
-                    dsp_m_pump=bound["m-pump"].total_dsp,
-                    dsp_base_pct=bound["base"].dsp_pct,
-                    dsp_s_pump_pct=bound["s-pump"].dsp_pct,
-                    dsp_m_pump_pct=bound["m-pump"].dsp_pct,
-                )
+        plans = {s: make_plan(dfg, f, s) for s in STRATEGIES}
+        bound = {s: bind(dfg, p) for s, p in plans.items()}
+        rows.append(
+            SweepRow(
+                f_base_mhz=f,
+                throughput_msps=graph_throughput(dfg, plans["base"]),
+                dsp_base=bound["base"].total_dsp,
+                dsp_s_pump=bound["s-pump"].total_dsp,
+                dsp_m_pump=bound["m-pump"].total_dsp,
+                dsp_base_pct=bound["base"].dsp_pct,
+                dsp_s_pump_pct=bound["s-pump"].dsp_pct,
+                dsp_m_pump_pct=bound["m-pump"].dsp_pct,
             )
+        )
         f += st
     return rows
 

@@ -22,9 +22,9 @@ after the latest of
 
 Every term refers to an earlier iteration or an upstream task, so tasks
 are computed once each, in topological order inside each iteration: no
-start is retried and no acyclic graph can stall.  Outside trace mode the
-state is each task's previous start and, per FIFO of depth d, the last d
-consumer starts, so memory does not grow with ``iterations``.
+start is retried and no acyclic graph can stall.  The state is each
+task's previous start and, per FIFO of depth d, the last d consumer
+starts, so without a trace memory does not grow with ``iterations``.
 
 The timeline is integer picoseconds with clock periods rounded to the
 nearest picosecond.  Events at one picosecond are ordered by task index,
@@ -49,7 +49,7 @@ cannot rise once the state repeats.  No repeat can occur before task 0
 starts at or after L, and the search gives up after
 ``REPEAT_SEARCH_ITERATIONS`` iterations, so runs without a repeat (mostly
 multi-clock plans whose rounded periods have a huge lcm) cost what the
-plain loop costs.  Trace mode runs every iteration.
+plain loop costs.  A skipped period's trace is the last one's, shifted.
 """
 
 from __future__ import annotations
@@ -137,9 +137,8 @@ def clock_period_ps(f_mhz) -> int:
 
 def default_warmup(dfg: Dfg, plan: PumpPlan) -> int:
     """Tokens to discard before measuring: covers the pipeline fill transient."""
-    deepest = max(
-        dfg.task(name).pipeline_depth_at(entry.f_mhz) for name, entry in plan.tasks.items()
-    )
+    check_plan_coverage(dfg, plan)
+    deepest = max(t.pipeline_depth_at(plan.tasks[t.name].f_mhz) for t in dfg.tasks)
     return max(100, 10 * deepest)
 
 
@@ -217,32 +216,31 @@ def simulate(
         done += n
 
     c = 0  # iterations per period of the repeat, 0 while none is known
-    if history is None:
-        limit = min(iterations, REPEAT_SEARCH_ITERATIONS)
-        L = lcm(*period) * K
-        # no repeat before last[0] >= L, and last[0] grows by at least
-        # ii_ps[0]*K per iteration
-        run(min(limit, (L - last[0]) // (ii_ps[0] * K) + 1))
+    limit = min(iterations, REPEAT_SEARCH_ITERATIONS)
+    L = lcm(*period) * K
+    # no repeat before last[0] >= L, and last[0] grows by at least
+    # ii_ps[0]*K per iteration
+    run(min(limit, (L - last[0]) // (ii_ps[0] * K) + 1))
 
-        # ``token`` is rewritten by each producer before its consumers read
-        # it, so the state is ``last`` and the ``free`` deques
-        def shifted(base):
-            return [v - base for v in chain(last, *free)]
+    # ``token`` is rewritten by each producer before its consumers read
+    # it, so the state is ``last`` and the ``free`` deques
+    def shifted(base):
+        return [v - base for v in chain(last, *free)]
 
-        power = 1
-        ck_done = done
-        ck_base = last[0] - last[0] % L
-        ck_state = shifted(ck_base)
-        while done < limit:
-            run(1)
-            res = last[0] % L
-            base = last[0] - res
-            if res == ck_state[0] and shifted(base) == ck_state:
-                c, T = done - ck_done, base - ck_base
-                break
-            if done - ck_done == power:
-                ck_done, ck_base, ck_state = done, base, shifted(base)
-                power *= 2
+    power = 1
+    ck_done = done
+    ck_base = last[0] - last[0] % L
+    ck_state = shifted(ck_base)
+    while done < limit:
+        run(1)
+        res = last[0] % L
+        base = last[0] - res
+        if res == ck_state[0] and shifted(base) == ck_state:
+            c, T = done - ck_done, base - ck_base
+            break
+        if done - ck_done == power:
+            ck_done, ck_base, ck_state = done, base, shifted(base)
+            power *= 2
 
     def jump(target):
         """Skip whole periods of the repeat, up to iteration ``target``."""
@@ -254,6 +252,9 @@ def simulate(
         for q in free:
             for n in range(len(q)):
                 q[n] += shift
+        if history is not None:  # each skipped period repeats the last one's starts
+            for h in history:
+                h.extend([x + s * T for s in range(1, j + 1) for x in h[-c:]])
         done += j * c
 
     if c:

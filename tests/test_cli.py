@@ -156,6 +156,16 @@ def test_simulate_mismatched_plan(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_mismatched_plan_error_does_not_depend_on_warmup(capsys, tmp_path):
+    plan = tmp_path / "conv2d.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",
+               "--out", str(plan))[0] == EXIT_OK
+    vms = str(datasets.path("vms.json"))
+    expected = (EXIT_INVALID, "", "error: plan does not cover task: PoseGen\n")
+    assert run(capsys, "simulate", vms, str(plan)) == expected
+    assert run(capsys, "simulate", vms, str(plan), "--warmup", "10") == expected
+
+
 def test_simulate_small_window_warns(capsys, tmp_path):
     plan = tmp_path / "b.plan"
     assert run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",
@@ -339,10 +349,12 @@ def test_report_bundle(capsys, tmp_path):
 
 
 def test_cli_entry_point_subprocess():
+    env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "pumpwise.cli", "analyze", CONV, "--f-base", "165"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "Filter2D" in proc.stdout

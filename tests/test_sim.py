@@ -364,7 +364,8 @@ def test_memory_independent_of_iterations():
     ],
 )
 def test_jump_matches_full_loop(iterations, warmup, tmp_path, monkeypatch):
-    # trace mode runs every iteration, so it is the reference for the jump
+    # with no search budget no repeat is found, so every iteration is
+    # computed: the reference for the jump, traced and untraced
     computed = []
     advance = sim._advance
 
@@ -372,20 +373,29 @@ def test_jump_matches_full_loop(iterations, warmup, tmp_path, monkeypatch):
         computed[-1] += n
         advance(steps, n, *args)
 
+    def run(dfg, plan, cfg, trace=None):
+        computed.append(0)
+        return simulate(dfg, plan, cfg, trace_path=trace)
+
     monkeypatch.setattr(sim, "_advance", counting)
+    full_trace = tmp_path / "full.csv"
+    jump_trace = tmp_path / "jump.csv"
     rng = random.Random(iterations * 10007 + warmup)
     for _ in range(3):
         dfg, f_base = random_shallow_dfg(rng)
         for strategy in ("base", "s-pump", "m-pump"):
             plan = make_plan(dfg, f_base, strategy)
             cfg = SimConfig(iterations, warmup)
-            computed.append(0)
-            full = simulate(dfg, plan, cfg, trace_path=tmp_path / "trace.csv")
+            with monkeypatch.context() as m:
+                m.setattr(sim, "REPEAT_SEARCH_ITERATIONS", 0)
+                full = run(dfg, plan, cfg, full_trace)
             assert computed[-1] == iterations
-            computed.append(0)
-            assert simulate(dfg, plan, cfg) == full, (strategy, cfg)
+            assert run(dfg, plan, cfg) == full, (strategy, cfg)
+            assert run(dfg, plan, cfg, jump_trace) == full, (strategy, cfg)
+            assert jump_trace.read_bytes() == full_trace.read_bytes(), (strategy, cfg)
     # the corpus has single-clock plans, which repeat within a few iterations
-    assert min(computed[1::2]) < iterations // 10
+    assert min(computed[1::3]) < iterations // 10
+    assert min(computed[2::3]) < iterations // 10
 
 
 def test_jump_reaches_a_billion_iterations():
