@@ -21,10 +21,10 @@ from .planner import (
     STRATEGIES,
     PumpPlan,
     SweepRow,
+    _make_plans,
     compute_throughput,
     graph_throughput,
     load_plan,
-    make_plan,
     max_pump_factor,
     max_single_pump_factor,
     save_plan,
@@ -171,8 +171,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_optimize(args) -> int:
     dfg = load_dfg(_resolve(args.dfg), f_base_mhz=args.f_base)
-    plan = make_plan(dfg, args.f_base, args.strategy)
-    dsp_before = bind(dfg, make_plan(dfg, args.f_base, "base")).total_dsp
+    plans = _make_plans(dfg, args.f_base, (args.strategy, "base"))
+    plan = plans[args.strategy]
+    dsp_before = bind(dfg, plans["base"]).total_dsp
     binding = bind(dfg, plan)
     thr = graph_throughput(dfg, plan)
     out = args.out or f"{Path(args.dfg).stem}.{args.strategy}{_fmt_num(args.f_base)}.plan"
@@ -223,7 +224,7 @@ def cmd_report(args) -> int:
     # every output is computed before the first file is written, so an
     # invalid input leaves nothing behind
     dfg = load_dfg(_resolve(args.dfg), f_base_mhz=args.f_base)
-    plans = {s: make_plan(dfg, args.f_base, s) for s in STRATEGIES}
+    plans = _make_plans(dfg, args.f_base, STRATEGIES)
     f_lo = args.f_lo if args.f_lo is not None else args.f_base
     f_hi = args.f_hi if args.f_hi is not None else dfg.min_f_max_mhz
     rows = sweep(dfg, f_lo, f_hi, args.step)

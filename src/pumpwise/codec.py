@@ -9,6 +9,15 @@ rational whose shortest float repr reads back exactly stays a decimal,
 and any other rational becomes ``"p/q"``, so every value survives a save
 and a load.  Counts are ``int``, never ``bool``.  The JSON field readers
 name the offending field in their ``ParseError``.
+
+Identifiers are interned: ``get_field`` returns one shared object for
+every equal ``str`` it reads, so a task name, channel endpoint, op id, op
+class or dependence endpoint costs one string however often it appears
+and however many graphs mention it.  The ``json`` module makes a fresh
+string for each occurrence of a value, and a program that holds many
+loaded graphs (a sweep over many designs) would keep every copy.  A
+``str`` subclass is returned as it is, since ``sys.intern`` accepts only
+exact strings.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -90,14 +100,15 @@ def num_to_json(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-# JSON field readers: errors name where.key; an absent or null field gives the default, if any
+# JSON field readers: errors name where.key; an absent or null field gives the default, if any;
+# get_field interns the strings it returns (see the module docstring)
 def get_field(rec: dict, key: str, typ, where: str):
     if key not in rec:
         raise ParseError(f"{where}.{key}: missing required field")
     v = rec[key]
     if not isinstance(v, typ) or isinstance(v, bool):
         raise ParseError(f"{where}.{key}: expected {typ.__name__}")
-    return v
+    return sys.intern(v) if type(v) is str else v
 
 
 def get_int(rec: dict, key: str, where: str, default=_MISSING):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .binding import bind, check_plan_coverage
 from .codec import Rational, as_fraction, is_int, load_json, num_from_json, num_to_json, save_json
@@ -130,8 +130,20 @@ def max_single_pump_factor(dfg: Dfg, f_base_mhz: Rational) -> int:
 
 def make_plan(dfg: Dfg, f_base_mhz: Rational, strategy: str) -> PumpPlan:
     """Select per-task factors, clocks, and IIs for one strategy."""
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy: {strategy}")
+    return _make_plans(dfg, f_base_mhz, (strategy,))[strategy]
+
+
+def _make_plans(
+    dfg: Dfg, f_base_mhz: Rational, strategies: Sequence[str]
+) -> dict[str, PumpPlan]:
+    """``make_plan`` for several strategies at one base clock.
+
+    Every strategy starts from the same minimum IIs at the base clock, so
+    each task's is computed once, however many plans are built.
+    """
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValidationError(f"unknown strategy: {strategy}")
     f_base = as_fraction(f_base_mhz)
     if f_base <= 0:
         raise ValidationError("f_base_mhz must be positive")
@@ -141,8 +153,12 @@ def make_plan(dfg: Dfg, f_base_mhz: Rational, strategy: str) -> PumpPlan:
                 f"base clock infeasible: task {t.name} meets timing only up to "
                 f"{float(t.f_max_mhz):g} MHz"
             )
-
     ii0 = {t.name: t.ii_min_at(f_base) for t in dfg.tasks}
+    return {s: _build_plan(dfg, f_base, s, ii0) for s in strategies}
+
+
+def _build_plan(dfg: Dfg, f_base: Fraction, strategy: str, ii0: Mapping[str, int]) -> PumpPlan:
+    """The plan of one strategy from each task's minimum II at ``f_base``."""
     entries: dict[str, TaskPlan] = {}
     if strategy == "base":
         for t in dfg.tasks:
@@ -188,8 +204,10 @@ class SweepRow:
 def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[SweepRow]:
     """Sample base clocks from f_lo to f_hi and bind all three strategies.
 
-    Base clocks above the slowest task's f_max are infeasible for every
-    strategy and are omitted rather than clamped.
+    The three plans of a row are built from one map of minimum IIs at its
+    base clock, so each DDG task's II is solved once per row.  Base clocks
+    above the slowest task's f_max are infeasible for every strategy and
+    are omitted rather than clamped.
     """
     lo = as_fraction(f_lo)
     hi = as_fraction(f_hi)
@@ -202,7 +220,7 @@ def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[Swee
     rows = []
     f = lo
     while f <= hi:
-        plans = {s: make_plan(dfg, f, s) for s in STRATEGIES}
+        plans = _make_plans(dfg, f, STRATEGIES)
         bound = {s: bind(dfg, p) for s, p in plans.items()}
         rows.append(
             SweepRow(

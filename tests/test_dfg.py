@@ -284,6 +284,38 @@ def test_dfg_to_dict_omits_absent_optionals():
     assert "ddg" not in d["tasks"][0]
 
 
+def test_identifiers_are_shared_across_loads():
+    # the json module makes a fresh str per value; the loader interns them
+    text = datasets.path("optical.json").read_text()
+    a, b = (dfg_from_dict(json.loads(text, parse_float=Fraction)) for _ in range(2))
+    for ta, tb in zip(a.tasks, b.tasks):
+        assert ta.name is tb.name
+    names = {t.name: t.name for t in a.tasks}
+    for c in a.channels:
+        assert c.src is names[c.src] and c.dst is names[c.dst]
+    ddgs = [t.ddg for t in a.tasks if t.ddg is not None]
+    assert ddgs and any(d.deps for d in ddgs)
+    for ddg in ddgs:
+        ids = {op.id: op.id for op in ddg.ops}
+        for d in ddg.deps:
+            assert d.src is ids[d.src] and d.dst is ids[d.dst]
+
+
+def test_str_subclass_names_load():
+    class Name(str):
+        pass
+
+    data = {"tasks": [{"name": Name("Src"), "f_max_mhz": 100, "ii_min_base": 1,
+                       "pipeline_depth": 1},
+                      {"name": "Dst", "f_max_mhz": 100, "ii_min_base": 1,
+                       "pipeline_depth": 1}],
+            "channels": [{"from": Name("Src"), "to": Name("Dst")}],
+            "device_dsp_total": 10}
+    dfg = dfg_from_dict(data)
+    assert dfg.task_names == ("Src", "Dst")
+    assert dfg.channels[0].src == "Src" and dfg.channels[0].dst == "Dst"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_numbers_rejected_in_model(bad):
     with pytest.raises(ValidationError, match="expected a finite number"):

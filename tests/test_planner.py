@@ -363,6 +363,14 @@ def test_make_plan_computes_each_base_ii_once(monkeypatch):
         calls.clear()
         make_plan(dfg, 150, strategy)
         assert calls == [t.ddg for t in tasks[:3]]
+    # a sweep row builds its three plans from one map of base IIs
+    calls.clear()
+    assert len(sweep(dfg, 100, 150, 10)) == 6
+    assert calls == [t.ddg for t in tasks[:3]] * 6
+    optical = load_dfg(datasets.path("optical.json"))
+    calls.clear()
+    assert len(sweep(optical, 25, 310, 1)) == 286
+    assert len(calls) == 286
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
