@@ -70,17 +70,20 @@ def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
 
 def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
     """Reject a plan that misses a task, names an unknown one or clocks one above f_max."""
-    names = set(dfg.task_names)
-    planned = set(plan.tasks)
-    missing = sorted(names - planned)
-    if missing:
-        raise ValidationError(f"plan does not cover task: {missing[0]}")
-    extra = sorted(planned - names)
-    if extra:
+    planned = plan.tasks
+    # task names are unique, so equal sizes and every task planned mean equal sets
+    if len(planned) != len(dfg.tasks) or not all(t.name in planned for t in dfg.tasks):
+        names = set(dfg.task_names)
+        missing = sorted(names - set(planned))
+        if missing:
+            raise ValidationError(f"plan does not cover task: {missing[0]}")
+        extra = sorted(set(planned) - names)
         raise ValidationError(f"plan names unknown task: {extra[0]}")
     for t in dfg.tasks:
-        f = plan.tasks[t.name].f_mhz
-        if f > t.f_max_mhz:
+        f = planned[t.name].f_mhz
+        f_max = t.f_max_mhz
+        # f > f_max over positive denominators, without building Fractions
+        if f.numerator * f_max.denominator > f_max.numerator * f.denominator:
             raise ValidationError(
                 f"task {t.name}: plan clock {float(f):g} MHz exceeds "
                 f"f_max {float(t.f_max_mhz):g} MHz"

@@ -166,7 +166,16 @@ def pipeline_depth(ddg: Ddg, f_mhz: Rational) -> int:
 
 
 def _latencies(ddg: Ddg, f_mhz: Rational) -> dict[str, int]:
-    return {op.id: op_latency_cycles(op.delay_ns, f_mhz) for op in ddg.ops}
+    """``op_latency_cycles`` of every op: max(1, ceil(delay * f / 1000)) in integers."""
+    f = as_fraction(f_mhz)
+    if f <= 0:
+        raise ValidationError("op_latency_cycles requires positive delay and frequency")
+    # the Ddg's delays are exact and positive already
+    fn, fd = f.numerator, 1000 * f.denominator
+    return {
+        op.id: max(1, -(-op.delay_ns.numerator * fn // (op.delay_ns.denominator * fd)))
+        for op in ddg.ops
+    }
 
 
 def _collapsed_edges(ddg: Ddg) -> dict[tuple[str, str], int]:

@@ -27,12 +27,12 @@ task's previous start and, per FIFO of depth d, the last d consumer
 starts, so without a trace memory does not grow with ``iterations``.
 
 The timeline is integer picoseconds with clock periods rounded to the
-nearest picosecond.  Events at one picosecond are ordered by task index,
-a completion before a start, except that a start whose token or slot
-comes from a same-time event with a larger key runs right after that
-event: the smallest-key topological order of each timestamp.  FIFO
-peaks and the trace follow this order, so a simulation is deterministic
-down to the bit.
+nearest picosecond, ties to even.  Events at one picosecond are ordered
+by task index, a completion before a start, except that a start whose
+token or slot comes from a same-time event with a larger key runs right
+after that event: the smallest-key topological order of each timestamp.
+FIFO peaks and the trace follow this order, so a simulation is
+deterministic down to the bit.
 
 A timed marked graph becomes periodic after a transient: the state after
 iteration k + c is the state after iteration k shifted by a time T.
@@ -123,16 +123,26 @@ class SimReport:
 
 
 def clock_period_ps(f_mhz) -> int:
-    """Task-local clock period, rounded to the nearest picosecond."""
+    """Task-local clock period, rounded to the nearest picosecond, ties to even."""
     f = as_fraction(f_mhz)
     if f <= 0:
         raise ValidationError("clock frequency must be positive")
-    if f > MAX_CLOCK_MHZ:
+    return _period_ps(f)
+
+
+def _period_ps(f: Fraction) -> int:
+    """``round(10**6 / f)`` for a positive exact clock, in integer arithmetic."""
+    n, d = f.numerator, f.denominator
+    if n > MAX_CLOCK_MHZ * d:
         raise SimulationError(
             f"zero-period clock: {float(f):g} MHz exceeds the "
             f"{MAX_CLOCK_MHZ} MHz picosecond resolution limit"
         )
-    return round(Fraction(PS_PER_MICROSECOND) / f)
+    q, r = divmod(PS_PER_MICROSECOND * d, n)
+    # an exact half rounds to the even neighbour, as round() does
+    if 2 * r > n or (2 * r == n and q & 1):
+        q += 1
+    return q
 
 
 def default_warmup(dfg: Dfg, plan: PumpPlan) -> int:
@@ -161,16 +171,10 @@ def simulate(
     pd_ps = []
     for t in dfg.tasks:
         entry = plan.tasks[t.name]
-        p = clock_period_ps(entry.f_mhz)
+        p = _period_ps(entry.f_mhz)
         period.append(p)
         ii_ps.append(p * entry.ii)
         pd_ps.append(p * t.pipeline_depth_at(entry.f_mhz))
-
-    nchan = len(dfg.channels)
-    prod = [index[c.src] for c in dfg.channels]
-    cons = [index[c.dst] for c in dfg.channels]
-    depth = [c.depth for c in dfg.channels]
-    sinks = [i for i in range(ntasks) if i not in prod]
 
     # Times are scaled by K and carry a tie key below K, so that comparing
     # t*K + key also orders the events of one picosecond.  A completion of
@@ -178,12 +182,30 @@ def simulate(
     # itself (2*i + 1) and the same-time events that gave it its tokens
     # and slots, since it runs right after the last of them.
     K = 2 * ntasks
+    nchan = len(dfg.channels)
+    prod = []
+    cons = []
+    depth = []
+    # per channel, the consumer starts k-d .. k-1 that free the producer's
+    # next slots, oldest first; the d slots of an empty FIFO are free at 0
+    free = []
+    ins = [[] for _ in range(ntasks)]
+    outs = [[] for _ in range(ntasks)]
+    is_sink = [True] * ntasks
+    for c, ch in enumerate(dfg.channels):
+        p, q, d = index[ch.src], index[ch.dst], ch.depth
+        slots = deque([0] * d)
+        prod.append(p)
+        cons.append(q)
+        depth.append(d)
+        free.append(slots)
+        ins[q].append((c, slots))
+        outs[p].append((c, slots, d))
+        is_sink[p] = False
+    sinks = [i for i in range(ntasks) if is_sink[i]]
     # latest token time per channel, written by the producer's start k and
     # read by the consumer's start k later in the same iteration
     token = [0] * nchan
-    # per channel, the consumer starts k-d .. k-1 that free the producer's
-    # next slots, oldest first; the d slots of an empty FIFO are free at 0
-    free = [deque([0] * d) for d in depth]
     peak = [0] * nchan
     # the II term of start 0 is 0
     last = [-ii_ps[i] * K for i in range(ntasks)]
@@ -195,8 +217,8 @@ def simulate(
             ii_ps[i] * K,
             pd_ps[i] * K + 2 * i,  # from a start to its completion, key 2*i
             2 * i + 1,
-            tuple((c, free[c]) for c in range(nchan) if cons[c] == i),
-            tuple((c, free[c], depth[c]) for c in range(nchan) if prod[c] == i),
+            tuple(ins[i]),
+            tuple(outs[i]),
             None if history is None else history[i].append,
         )
         for i in dfg.task_order

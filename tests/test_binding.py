@@ -1,11 +1,13 @@
 """Binding model: sharing arithmetic and whole-graph DSP totals."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pumpwise import (
+    TaskPlan,
     ValidationError,
     bind,
     datasets,
@@ -132,3 +134,25 @@ def test_bind_plan_mismatch():
     )
     with pytest.raises(ValidationError, match="unknown task: Ghost"):
         bind(dfg, extra)
+    both = type(plan)(plan.strategy, dict(partial.tasks, Ghost=plan.tasks["Filter2D"]),
+                      plan.kernel_base_clock_mhz)
+    with pytest.raises(ValidationError, match="does not cover task: Filter2D"):
+        bind(dfg, both)
+    # a plan clock exactly at a rational f_max is feasible; the least bit above is not
+    f_max = Fraction(500, 3)
+    capped = replace(dfg, tasks=[replace(t, f_max_mhz=f_max) if t.name == "Filter2D" else t
+                                 for t in dfg.tasks])
+    for f, ok in [(f_max, True), (f_max + Fraction(1, 10**6), False)]:
+        clocked = type(plan)(
+            plan.strategy,
+            dict(plan.tasks, Filter2D=TaskPlan(1, f, plan.tasks["Filter2D"].ii)),
+            plan.kernel_base_clock_mhz,
+        )
+        if ok:
+            bind(capped, clocked)
+        else:
+            with pytest.raises(ValidationError) as e:
+                bind(capped, clocked)
+            assert str(e.value) == (
+                "task Filter2D: plan clock 166.667 MHz exceeds f_max 166.667 MHz"
+            )

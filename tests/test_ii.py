@@ -24,6 +24,11 @@ from conftest import FREQ_CHOICES, random_ddg
         (0.1, 100, 1),  # clamps at one full cycle, no chaining
         (11, 250, 3),
         (4.0, 1000, 4),
+        # delay * f / 1000 an exact integer: no extra cycle
+        (2.5, 400, 1),
+        (7.5, 400, 3),
+        (Fraction(10, 3), 300, 1),
+        (Fraction(10, 3), 600, 2),
     ],
 )
 def test_op_latency_examples(delay, f, want):
@@ -143,6 +148,10 @@ def test_max_cycle_ratio_matches_bruteforce():
         want, _ = max_ratio(ddg, f)
         assert lam == (0 if want is None else want)
         acyclic += want is None
+        for q in (3, 7, 11):
+            fq = Fraction(f * q + 1, q)
+            want_lat = {op.id: op_latency_cycles(op.delay_ns, fq) for op in ddg.ops}
+            assert _latencies(ddg, fq) == want_lat
     assert 0 < acyclic < 200  # both kinds of DDG were drawn
 
 

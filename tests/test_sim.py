@@ -65,6 +65,16 @@ def test_clock_period_rounding():
     assert clock_period_ps(10**6) == 1
     with pytest.raises(SimulationError, match="zero-period"):
         clock_period_ps(2 * 10**6)
+    with pytest.raises(SimulationError, match="zero-period"):
+        clock_period_ps(10**6 + Fraction(1, 3))
+    # exact half-picosecond periods round to the even neighbour
+    assert clock_period_ps(Fraction(2 * 10**6, 1001)) == 500  # 500.5 ps
+    assert clock_period_ps(Fraction(2 * 10**6, 1003)) == 502  # 501.5 ps
+    for q in (3, 7, 11):
+        for p in (1, 2, 299, 500, 997, 1000, 2 * 10**6 - 1, 3 * 10**6):
+            f = Fraction(p, q)
+            if f <= 10**6:
+                assert clock_period_ps(f) == round(Fraction(10**6) / f)
 
 
 def test_two_task_chain_100mhz():
