@@ -179,9 +179,8 @@ def cmd_optimize(args) -> int:
     out = args.out or f"{Path(args.dfg).stem}.{args.strategy}{_fmt_num(args.f_base)}.plan"
     save_plan(plan, out)
     print(_plan_table(dfg, plan, binding))
-    if args.strategy == "s-pump":
-        s = max_single_pump_factor(dfg, args.f_base)
-        print(f"kernel clock: {_fmt_num(s * args.f_base)} MHz")
+    if args.strategy == "s-pump":  # one shared clock
+        print(f"kernel clock: {_fmt_num(plan.tasks[dfg.tasks[0].name].f_mhz)} MHz")
     print(f"DSP {dsp_before} -> {binding.total_dsp}, throughput {_fmt_msps(thr)} msps preserved")
     print(f"plan written: {out}")
     return EXIT_OK

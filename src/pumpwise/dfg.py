@@ -173,6 +173,8 @@ class Dfg:
         object.__setattr__(self, "task_order", tuple(index[n] for n in order))
 
     def _cross_check_ii(self, f_base: Fraction) -> None:
+        if f_base <= 0:
+            raise ValidationError("f_base_mhz must be positive")
         # the declared ii_min_base only makes a claim for clocks the task
         # can implement, so skip tasks whose f_max lies below f_base
         for t in self.tasks:

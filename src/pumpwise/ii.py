@@ -24,7 +24,7 @@ converts what callers pass in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from math import ceil
@@ -57,10 +57,14 @@ class Dep:
 
 @dataclass(frozen=True, slots=True)
 class Ddg:
-    """Data-dependence graph of one task's pipelined loop body, validated when built."""
+    """Data-dependence graph of one task's pipelined loop body, validated when built.
+
+    ``order`` holds the op ids with every dist-0 source before its destination.
+    """
 
     ops: tuple[Op, ...]
     deps: tuple[Dep, ...]
+    order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, ops: Sequence[Op], deps: Sequence[Dep] = ()):
         object.__setattr__(self, "ops", tuple(ops))
@@ -83,9 +87,10 @@ class Ddg:
                 raise ValidationError(
                     f"dependence {dep.src}->{dep.dst}: dist must be a nonnegative integer"
                 )
-        _, cyc = _toposort(ids, ((d.src, d.dst) for d in self.deps if d.dist == 0))
+        order, cyc = _toposort(ids, ((d.src, d.dst) for d in self.deps if d.dist == 0))
         if cyc is not None:
             raise ValidationError("combinational cycle: " + "->".join(cyc + cyc[:1]))
+        object.__setattr__(self, "order", tuple(order))
 
 
 def op_latency_cycles(delay_ns: Rational, f_mhz: Rational) -> int:
@@ -94,8 +99,7 @@ def op_latency_cycles(delay_ns: Rational, f_mhz: Rational) -> int:
     f = as_fraction(f_mhz)
     if delay <= 0 or f <= 0:
         raise ValidationError("op_latency_cycles requires positive delay and frequency")
-    period_ns = Fraction(1000) / f
-    return max(1, ceil(delay / period_ns))
+    return _cycles(delay, f)
 
 
 def min_ii(ddg: Ddg, f_mhz: Rational) -> int:
@@ -154,28 +158,27 @@ def critical_cycle(ddg: Ddg, f_mhz: Rational) -> list[str]:
 def pipeline_depth(ddg: Ddg, f_mhz: Rational) -> int:
     """Longest latency-weighted path over intra-iteration (dist 0) edges."""
     lat = _latencies(ddg, f_mhz)
-    dist0 = [(d.src, d.dst) for d in ddg.deps if d.dist == 0]
     preds: dict[str, list[str]] = {v: [] for v in lat}
-    for u, v in dist0:
-        preds[v].append(u)
-    order, _ = _toposort(lat, dist0)
+    for d in ddg.deps:
+        if d.dist == 0:
+            preds[d.dst].append(d.src)
     depth: dict[str, int] = {}
-    for v in order:
+    for v in ddg.order:
         depth[v] = lat[v] + max((depth[u] for u in preds[v]), default=0)
     return max(depth.values())
 
 
 def _latencies(ddg: Ddg, f_mhz: Rational) -> dict[str, int]:
-    """``op_latency_cycles`` of every op: max(1, ceil(delay * f / 1000)) in integers."""
+    """``op_latency_cycles`` of every op; the Ddg's delays are exact and positive already."""
     f = as_fraction(f_mhz)
     if f <= 0:
-        raise ValidationError("op_latency_cycles requires positive delay and frequency")
-    # the Ddg's delays are exact and positive already
-    fn, fd = f.numerator, 1000 * f.denominator
-    return {
-        op.id: max(1, -(-op.delay_ns.numerator * fn // (op.delay_ns.denominator * fd)))
-        for op in ddg.ops
-    }
+        raise ValidationError("clock frequency must be positive")
+    return {op.id: _cycles(op.delay_ns, f) for op in ddg.ops}
+
+
+def _cycles(delay: Fraction, f: Fraction) -> int:
+    """max(1, ceil(delay * f / 1000)) for an exact positive delay (ns) and clock (MHz)."""
+    return max(1, -(-delay.numerator * f.numerator // (delay.denominator * 1000 * f.denominator)))
 
 
 def _collapsed_edges(ddg: Ddg) -> dict[tuple[str, str], int]:

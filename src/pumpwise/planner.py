@@ -81,7 +81,7 @@ def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
 def compute_throughput(dfg: Dfg, plan: PumpPlan) -> Fraction:
     """Bottleneck compute throughput in msps, ignoring the memory bound."""
     check_plan_coverage(dfg, plan)
-    return min(task_throughput(e.f_mhz, e.ii) for e in plan.tasks.values())
+    return min(e.f_mhz / e.ii for e in plan.tasks.values())
 
 
 def graph_throughput(dfg: Dfg, plan: PumpPlan) -> Fraction:
@@ -174,17 +174,7 @@ def _build_plan(dfg: Dfg, f_base: Fraction, strategy: str, ii0: Mapping[str, int
                 entries[t.name] = TaskPlan(s, s * f_base, s * ii0[t.name])
             else:
                 entries[t.name] = TaskPlan(1, s * f_base, ii0[t.name])
-    plan = PumpPlan(strategy, entries, f_base)
-
-    # pumping scales f and ii together, so no task loses throughput and the
-    # graph bottleneck can only stay or rise
-    for t in dfg.tasks:
-        e = entries[t.name]
-        base_rate = task_throughput(f_base, ii0[t.name])
-        assert task_throughput(e.f_mhz, e.ii) >= base_rate
-        if e.m > 1 and t.n_op_dsp > 0:
-            assert task_throughput(e.f_mhz, e.ii) == base_rate
-    return plan
+    return PumpPlan(strategy, entries, f_base)
 
 
 @dataclass(frozen=True, slots=True)

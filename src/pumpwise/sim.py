@@ -164,8 +164,7 @@ def simulate(
     warmup = cfg.warmup
 
     ntasks = len(dfg.tasks)
-    names = [t.name for t in dfg.tasks]
-    index = {n: i for i, n in enumerate(names)}
+    index = {t.name: i for i, t in enumerate(dfg.tasks)}
     period = []
     ii_ps = []
     pd_ps = []
@@ -183,9 +182,6 @@ def simulate(
     # and slots, since it runs right after the last of them.
     K = 2 * ntasks
     nchan = len(dfg.channels)
-    prod = []
-    cons = []
-    depth = []
     # per channel, the consumer starts k-d .. k-1 that free the producer's
     # next slots, oldest first; the d slots of an empty FIFO are free at 0
     free = []
@@ -195,9 +191,6 @@ def simulate(
     for c, ch in enumerate(dfg.channels):
         p, q, d = index[ch.src], index[ch.dst], ch.depth
         slots = deque([0] * d)
-        prod.append(p)
-        cons.append(q)
-        depth.append(d)
         free.append(slots)
         ins[q].append((c, slots))
         outs[p].append((c, slots, d))
@@ -295,7 +288,7 @@ def simulate(
         (iterations - warmup) * PS_PER_MICROSECOND * K, window_end - window_start
     )
     if history is not None:
-        _write_trace(trace_path, names, history, K, pd_ps, prod, cons, depth)
+        _write_trace(trace_path, dfg, index, history, K, pd_ps)
     return SimReport(throughput, tuple(peak), iterations, dfg)
 
 
@@ -342,7 +335,7 @@ def _advance(steps, n, K, last, token, peak) -> None:
                         peak[c] = occ
 
 
-def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:
+def _write_trace(path, dfg, index, history, K, pd_ps) -> None:
     """One ``time_ps,task,kind,iteration`` line per start and completion.
 
     ``history`` holds each task's starts on the simulation's scaled
@@ -353,11 +346,12 @@ def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:
     waits are over goes next.
     """
     start = [[x // K for x in xs] for xs in history]
-    producers = [[] for _ in names]
-    consumers = [[] for _ in names]
-    for p, c, d in zip(prod, cons, depth):
+    producers = [[] for _ in history]
+    consumers = [[] for _ in history]
+    for ch in dfg.channels:
+        p, c = index[ch.src], index[ch.dst]
         producers[c].append(p)
-        consumers[p].append((c, d))
+        consumers[p].append((c, ch.depth))
 
     def waits(t, key, k):
         """Keys of the same-time events start ``key`` of iteration k waits for."""
@@ -382,7 +376,8 @@ def _write_trace(path, names, history, K, pd_ps, prod, cons, depth) -> None:
         lo = bisect_left(events, (t,))
         hi = bisect_left(events, (t + 1,))
         events[lo:hi] = _min_key_topological(events[lo:hi], waits)
-    label = [f",{names[key >> 1]},{'start' if key & 1 else 'complete'}," for key in range(K)]
+    # key 2*i is task i's completion and 2*i + 1 its start
+    label = [f",{t.name},{kind}," for t in dfg.tasks for kind in ("complete", "start")]
     with open(path, "w") as f:
         f.write("time_ps,task,kind,iteration\n")
         f.write("".join([f"{t}{label[key]}{k}\n" for t, key, k in events]))

@@ -1,5 +1,6 @@
 """CLI: command output, exit codes, golden CSV, pipeline composition."""
 
+import ast
 import json
 import os
 import subprocess
@@ -360,16 +361,30 @@ def test_cli_entry_point_subprocess():
     assert "Filter2D" in proc.stdout
 
 
-def test_import_needs_no_networkx():
-    # a fresh interpreter, on the same package the tests import
-    env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; import pumpwise; import pumpwise.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def test_imports_are_stdlib_or_package():
+    # the package declares no dependencies, so every import statement names
+    # the standard library or the package itself
+    outside = []
+    for path in sorted(Path(pumpwise.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {n.split(".")[0] for n in names}
+            outside += [(path.name, n) for n in top - sys.stdlib_module_names - {"pumpwise"}]
+    assert outside == []
+
+
+@pytest.mark.parametrize("dataset", ["conv2d.json", "optical.json"])
+@pytest.mark.parametrize("command", ["analyze", "optimize"])
+def test_non_positive_base_clock_is_named(capsys, command, dataset):
+    for f in ("0", "-5/3"):
+        assert run(capsys, command, dataset, f"--f-base={f}") == (
+            EXIT_INVALID, "", "error: f_base_mhz must be positive\n"
+        )
 
 
 def test_commands_byte_identical_across_runs(capsys, tmp_path):

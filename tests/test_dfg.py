@@ -163,6 +163,10 @@ def test_ii_cross_check_against_ddg(tmp_path):
     with pytest.raises(ValidationError, match="disagrees"):
         load_dfg(p, f_base_mhz=250)
     load_dfg(p)  # without a base clock the declared value is trusted
+    # above A's f_max of 300 MHz the declared value makes no claim
+    load_dfg(p, f_base_mhz=301)
+    with pytest.raises(ValidationError, match="disagrees"):
+        load_dfg(p, f_base_mhz=300)
 
 
 def test_ddg_task_derives_ii_and_depth():
@@ -383,6 +387,14 @@ INPUT_CHECKS = {
         lambda tmp: Dfg([_task()], [], 8, memory_bound_msps=0),
         ValidationError,
         "memory_bound_msps must be positive",
+    ),
+    "unknown task lookup": (
+        lambda tmp: Dfg([_task()], [], 8).task("Z"), ValidationError, "unknown task: Z"
+    ),
+    "non-positive base clock": (
+        lambda tmp: load_dfg(datasets.path("conv2d.json"), f_base_mhz=0),
+        ValidationError,
+        "f_base_mhz must be positive",
     ),
     "channel from unknown task": (
         lambda tmp: Dfg([_task()], [Channel("Z", "A")], 8),

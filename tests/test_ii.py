@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -150,7 +151,7 @@ def test_max_cycle_ratio_matches_bruteforce():
         acyclic += want is None
         for q in (3, 7, 11):
             fq = Fraction(f * q + 1, q)
-            want_lat = {op.id: op_latency_cycles(op.delay_ns, fq) for op in ddg.ops}
+            want_lat = {op.id: max(1, ceil(op.delay_ns * fq / 1000)) for op in ddg.ops}
             assert _latencies(ddg, fq) == want_lat
     assert 0 < acyclic < 200  # both kinds of DDG were drawn
 
@@ -202,6 +203,15 @@ def test_pipeline_depth_nondecreasing_in_frequency():
         assert vals == sorted(vals)
 
 
+def test_ddg_order_puts_dist0_sources_first():
+    rng = random.Random(4321)
+    for _ in range(50):
+        ddg = random_ddg(rng, max_ops=rng.choice([4, 8, 12]))
+        assert sorted(ddg.order) == sorted(op.id for op in ddg.ops)
+        pos = {v: i for i, v in enumerate(ddg.order)}
+        assert all(pos[d.src] < pos[d.dst] for d in ddg.deps if d.dist == 0)
+
+
 def test_pipeline_depth_ignores_carried_deps():
     ddg = accumulator_ddg()
     assert pipeline_depth(ddg, 250) == 3  # the dist-1 self edge adds no path
@@ -228,6 +238,10 @@ INPUT_CHECKS = {
     "zero clock": (
         lambda: op_latency_cycles(1, 0),
         "op_latency_cycles requires positive delay and frequency",
+    ),
+    "min_ii zero clock": (lambda: min_ii(accumulator_ddg(), 0), "clock frequency must be positive"),
+    "pipeline_depth negative clock": (
+        lambda: pipeline_depth(accumulator_ddg(), -1), "clock frequency must be positive"
     ),
 }
 
