@@ -33,6 +33,7 @@ from .planner import (
     PumpPlan,
     SweepRow,
     TaskPlan,
+    check_plan,
     compute_throughput,
     graph_throughput,
     load_plan,
@@ -76,6 +77,7 @@ __all__ = [
     "TaskPlan",
     "ValidationError",
     "bind",
+    "check_plan",
     "clock_period_ps",
     "compute_throughput",
     "critical_cycle",

@@ -8,11 +8,10 @@ partitioning scales down with the pump factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .codec import is_int
+from .codec import _fmt_g, _Record, _set, is_int
 from .dfg import Dfg
 from .errors import ValidationError
 
@@ -36,18 +35,22 @@ def scaled_partition(base_factor: int, m: int) -> int:
     return max(1, -(-base_factor // m))
 
 
-@dataclass(frozen=True, slots=True)
-class TaskBinding:
-    n_fu_dsp: int
-    n_mem_ports: int
-    partition_factor: int
+class TaskBinding(_Record):
+    __slots__ = _fields = ("n_fu_dsp", "n_mem_ports", "partition_factor")
+
+    def __init__(self, n_fu_dsp: int, n_mem_ports: int, partition_factor: int):
+        _set(self, "n_fu_dsp", n_fu_dsp)
+        _set(self, "n_mem_ports", n_mem_ports)
+        _set(self, "partition_factor", partition_factor)
 
 
-@dataclass(frozen=True, slots=True)
-class BindingResult:
-    per_task: dict[str, TaskBinding]
-    total_dsp: int
-    dsp_pct: Fraction
+class BindingResult(_Record):
+    __slots__ = _fields = ("per_task", "total_dsp", "dsp_pct")
+
+    def __init__(self, per_task: dict[str, TaskBinding], total_dsp: int, dsp_pct: Fraction):
+        _set(self, "per_task", per_task)
+        _set(self, "total_dsp", total_dsp)
+        _set(self, "dsp_pct", dsp_pct)
 
 
 def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
@@ -85,6 +88,6 @@ def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
         # f > f_max over positive denominators, without building Fractions
         if f.numerator * f_max.denominator > f_max.numerator * f.denominator:
             raise ValidationError(
-                f"task {t.name}: plan clock {float(f):g} MHz exceeds "
-                f"f_max {float(t.f_max_mhz):g} MHz"
+                f"task {t.name}: plan clock {_fmt_g(f)} MHz exceeds "
+                f"f_max {_fmt_g(t.f_max_mhz)} MHz"
             )

@@ -22,6 +22,7 @@ from .planner import (
     PumpPlan,
     SweepRow,
     _make_plans,
+    check_plan,
     compute_throughput,
     graph_throughput,
     load_plan,
@@ -203,6 +204,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     dfg = load_dfg(_resolve(args.dfg))
     plan = load_plan(args.plan)
+    check_plan(dfg, plan)
     report, analytic, err = _cross_check(args, dfg, plan, trace=args.trace)
     print(f"throughput: {_fmt_msps(report.throughput_msps)} msps")
     print(f"analytic:   {_fmt_msps(analytic)} msps")

@@ -10,6 +10,12 @@ and any other rational becomes ``"p/q"``, so every value survives a save
 and a load.  Counts are ``int``, never ``bool``.  The JSON field readers
 name the offending field in their ``ParseError``.
 
+Model records derive from ``_Record``: immutable ``__slots__`` objects
+whose ``==``, ``hash()`` and ``repr()`` run over their fields, as a
+frozen dataclass's would, and whose ``replace`` builds a new object
+through the constructor, so that it is validated again.  Each record
+writes its own ``__init__``, which validates and stores its fields.
+
 Identifiers are interned: ``get_field`` returns one shared object for
 every equal ``str`` it reads, so a task name, channel endpoint, op id, op
 class or dependence endpoint costs one string however often it appears
@@ -26,6 +32,7 @@ import json
 import math
 import re
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -36,6 +43,53 @@ Rational = Union[int, float, Fraction]
 
 _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 _MISSING = object()
+# six significant digits at any exponent, for numbers beyond float range
+_WIDE = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# how a record's constructor stores its fields past the frozen __setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable record over the fields named in ``_fields``.
+
+    ``_fields`` lists the constructor's parameters in order; they are
+    compared, hashed, shown by ``repr()`` (except those in ``_hidden``)
+    and copied by ``replace``.  Other slots hold facts derived from them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and validated by the constructor."""
+        return type(self)(**({f: getattr(self, f) for f in self._fields} | changes))
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -51,6 +105,15 @@ def as_fraction(x: Rational) -> Fraction:
     # str() round-trips the shortest decimal, so 0.1 means 1/10, not the
     # nearest binary double
     return Fraction(str(x))
+
+
+def _fmt_g(x) -> str:
+    """``f"{float(x):g}"``, also for rationals beyond float range."""
+    try:
+        return f"{float(x):g}"
+    except OverflowError:
+        x = as_fraction(x)
+        return format(_WIDE.divide(x.numerator, x.denominator).normalize(_WIDE), "g")
 
 
 def is_int(v, least: int | None = None) -> bool:
@@ -94,18 +157,23 @@ def num_to_json(x: Fraction):
     """JSON value that reads back as exactly ``x``: int, decimal or ``"p/q"``."""
     if x.denominator == 1:
         return int(x)
-    f = float(x)
-    if Fraction(repr(f)) == x:
-        return f
+    try:
+        f = float(x)
+        if Fraction(repr(f)) == x:
+            return f
+    except OverflowError:  # beyond float range, where no decimal reads back as x
+        pass
     return f"{x.numerator}/{x.denominator}"
 
 
 # JSON field readers: errors name where.key; an absent or null field gives the default, if any;
 # get_field interns the strings it returns (see the module docstring)
 def get_field(rec: dict, key: str, typ, where: str):
-    if key not in rec:
+    v = rec.get(key, _MISSING)
+    if type(v) is typ:
+        return sys.intern(v) if typ is str else v
+    if v is _MISSING:
         raise ParseError(f"{where}.{key}: missing required field")
-    v = rec[key]
     if not isinstance(v, typ) or isinstance(v, bool):
         raise ParseError(f"{where}.{key}: expected {typ.__name__}")
     return sys.intern(v) if type(v) is str else v

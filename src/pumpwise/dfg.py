@@ -13,13 +13,12 @@ estimates timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .codec import Rational, as_fraction, get_field, get_int, get_num, is_int, load_json
-from .codec import num_to_json, save_json
+from .codec import Rational, _fmt_g, _Record, _set, as_fraction, get_field, get_int, get_num
+from .codec import is_int, load_json, num_to_json, save_json
 from .errors import ParseError, ValidationError
 from .ii import Ddg, Dep, Op, _toposort, min_ii
 from .ii import pipeline_depth as ddg_pipeline_depth
@@ -27,8 +26,7 @@ from .ii import pipeline_depth as ddg_pipeline_depth
 DEFAULT_CHANNEL_DEPTH = 2
 
 
-@dataclass(frozen=True, slots=True)
-class Task:
+class Task(_Record):
     """One dataflow task and its characterization.
 
     ``ii_min_base`` may be omitted when ``ddg`` is given (it is then
@@ -37,44 +35,62 @@ class Task:
     at the base clock.  A task is validated when built.
     """
 
-    name: str
-    f_max_mhz: Rational
-    n_op_dsp: int = 0
-    n_op_mem: int = 0
-    base_partition_factor: int = 1
-    ii_min_base: int | None = None
-    pipeline_depth: int | None = None
-    ddg: Ddg | None = None
+    __slots__ = _fields = (
+        "name",
+        "f_max_mhz",
+        "n_op_dsp",
+        "n_op_mem",
+        "base_partition_factor",
+        "ii_min_base",
+        "pipeline_depth",
+        "ddg",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "f_max_mhz", as_fraction(self.f_max_mhz))
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        f_max_mhz: Rational,
+        n_op_dsp: int = 0,
+        n_op_mem: int = 0,
+        base_partition_factor: int = 1,
+        ii_min_base: int | None = None,
+        pipeline_depth: int | None = None,
+        ddg: Ddg | None = None,
+    ):
+        f_max_mhz = as_fraction(f_max_mhz)
+        if not name:
             raise ValidationError("task name must be non-empty")
-        if self.f_max_mhz <= 0:
-            raise ValidationError(f"task {self.name}: f_max_mhz must be positive")
-        for field_name in ("n_op_dsp", "n_op_mem"):
-            v = getattr(self, field_name)
-            if not is_int(v, 0):
-                raise ValidationError(
-                    f"task {self.name}: {field_name} must be a nonnegative integer"
-                )
-        if not is_int(self.base_partition_factor, 1):
+        if f_max_mhz <= 0:
+            raise ValidationError(f"task {name}: f_max_mhz must be positive")
+        if not is_int(n_op_dsp, 0):
+            raise ValidationError(f"task {name}: n_op_dsp must be a nonnegative integer")
+        if not is_int(n_op_mem, 0):
+            raise ValidationError(f"task {name}: n_op_mem must be a nonnegative integer")
+        if not is_int(base_partition_factor, 1):
             raise ValidationError(
-                f"task {self.name}: base_partition_factor must be a positive integer"
+                f"task {name}: base_partition_factor must be a positive integer"
             )
-        if self.ii_min_base is not None and not is_int(self.ii_min_base, 1):
-            raise ValidationError(f"task {self.name}: ii_min_base must be >= 1")
-        if self.pipeline_depth is not None and not is_int(self.pipeline_depth, 1):
-            raise ValidationError(f"task {self.name}: pipeline_depth must be >= 1")
-        if self.ddg is None:
-            if self.ii_min_base is None:
+        if ii_min_base is not None and not is_int(ii_min_base, 1):
+            raise ValidationError(f"task {name}: ii_min_base must be >= 1")
+        if pipeline_depth is not None and not is_int(pipeline_depth, 1):
+            raise ValidationError(f"task {name}: pipeline_depth must be >= 1")
+        if ddg is None:
+            if ii_min_base is None:
                 raise ValidationError(
-                    f"task {self.name}: ii_min_base is required when no ddg is given"
+                    f"task {name}: ii_min_base is required when no ddg is given"
                 )
-            if self.pipeline_depth is None:
+            if pipeline_depth is None:
                 raise ValidationError(
-                    f"task {self.name}: pipeline_depth is required when no ddg is given"
+                    f"task {name}: pipeline_depth is required when no ddg is given"
                 )
+        _set(self, "name", name)
+        _set(self, "f_max_mhz", f_max_mhz)
+        _set(self, "n_op_dsp", n_op_dsp)
+        _set(self, "n_op_mem", n_op_mem)
+        _set(self, "base_partition_factor", base_partition_factor)
+        _set(self, "ii_min_base", ii_min_base)
+        _set(self, "pipeline_depth", pipeline_depth)
+        _set(self, "ddg", ddg)
 
     def ii_min_at(self, f_mhz: Rational) -> int:
         """Minimum II at the given clock: DDG-derived when one is attached."""
@@ -91,28 +107,26 @@ class Task:
         return ddg_pipeline_depth(self.ddg, f_mhz)
 
 
-@dataclass(frozen=True, slots=True)
-class Channel:
+class Channel(_Record):
     """FIFO channel from task ``src`` to task ``dst`` with a token capacity."""
 
-    src: str
-    dst: str
-    depth: int = DEFAULT_CHANNEL_DEPTH
+    __slots__ = _fields = ("src", "dst", "depth")
+
+    def __init__(self, src: str, dst: str, depth: int = DEFAULT_CHANNEL_DEPTH):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "depth", depth)
 
 
-@dataclass(frozen=True, slots=True)
-class Dfg:
+class Dfg(_Record):
     """Dataflow graph plus device DSP budget and memory cap, validated when built.
 
     ``task_order`` holds the task indices with every producer before its
     consumers.
     """
 
-    tasks: tuple[Task, ...]
-    channels: tuple[Channel, ...]
-    device_dsp_total: int
-    memory_bound_msps: Rational | None = None
-    task_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tasks", "channels", "device_dsp_total", "memory_bound_msps", "task_order")
+    _fields = ("tasks", "channels", "device_dsp_total", "memory_bound_msps")
 
     def __init__(
         self,
@@ -121,10 +135,10 @@ class Dfg:
         device_dsp_total: int,
         memory_bound_msps: Rational | None = None,
     ):
-        object.__setattr__(self, "tasks", tuple(tasks))
-        object.__setattr__(self, "channels", tuple(channels))
-        object.__setattr__(self, "device_dsp_total", device_dsp_total)
-        object.__setattr__(
+        _set(self, "tasks", tuple(tasks))
+        _set(self, "channels", tuple(channels))
+        _set(self, "device_dsp_total", device_dsp_total)
+        _set(
             self,
             "memory_bound_msps",
             None if memory_bound_msps is None else as_fraction(memory_bound_msps),
@@ -166,11 +180,11 @@ class Dfg:
                 raise ValidationError(f"channel endpoints must differ: {c.src}")
             if not is_int(c.depth, 1):
                 raise ValidationError(f"channel {c.src}->{c.dst}: depth must be >= 1")
-        order, cyc = _toposort(names, ((c.src, c.dst) for c in self.channels))
+        order, cyc = _toposort(names, [(c.src, c.dst) for c in self.channels])
         if cyc is not None:
             raise ValidationError("channel graph must be acyclic: " + "->".join(cyc + cyc[:1]))
         index = {n: i for i, n in enumerate(names)}
-        object.__setattr__(self, "task_order", tuple(index[n] for n in order))
+        _set(self, "task_order", tuple(index[n] for n in order))
 
     def _cross_check_ii(self, f_base: Fraction) -> None:
         if f_base <= 0:
@@ -186,15 +200,17 @@ class Dfg:
             if derived != t.ii_min_base:
                 raise ValidationError(
                     f"task {t.name}: declared ii_min_base {t.ii_min_base} disagrees "
-                    f"with the DDG-derived value {derived} at {float(f_base):g} MHz"
+                    f"with the DDG-derived value {derived} at {_fmt_g(f_base)} MHz"
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class Characterization:
+class Characterization(_Record):
     """Per-task (f_max_mhz, n_op_dsp) overrides measured from implementation."""
 
-    entries: Mapping[str, tuple[Rational, int]]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Mapping[str, tuple[Rational, int]]):
+        _set(self, "entries", entries)
 
 
 def merge_characterization(dfg: Dfg, ch: Characterization) -> Dfg:
@@ -207,7 +223,7 @@ def merge_characterization(dfg: Dfg, ch: Characterization) -> Dfg:
     for t in dfg.tasks:
         if t.name in ch.entries:
             f_max, n_op = ch.entries[t.name]
-            t = replace(t, f_max_mhz=f_max, n_op_dsp=n_op)
+            t = t.replace(f_max_mhz=f_max, n_op_dsp=n_op)
         tasks.append(t)
     return Dfg(tasks, dfg.channels, dfg.device_dsp_total, dfg.memory_bound_msps)
 
@@ -335,19 +351,25 @@ def _ddg_from_dict(rec, where: str) -> Ddg:
     raw_deps = rec.get("deps", [])
     if not isinstance(raw_deps, list):
         raise ParseError(f"{where}.deps: expected an array")
+    # the readers name ``where`` only in their errors, so the location
+    # of an op or a dependence is spelled out only when one fails
     ops = []
     for i, o in enumerate(raw_ops):
-        w = f"{where}.ops[{i}]"
         if not isinstance(o, dict):
-            raise ParseError(f"{w}: expected an object")
-        op_id, cls = get_field(o, "id", str, w), get_field(o, "class", str, w)
-        ops.append(Op(op_id, cls, get_num(o, "delay_ns", w)))
+            raise ParseError(f"{where}.ops[{i}]: expected an object")
+        try:
+            ops.append(Op(get_field(o, "id", str, ""), get_field(o, "class", str, ""),
+                          get_num(o, "delay_ns", "")))
+        except ParseError as e:
+            raise ParseError(f"{where}.ops[{i}]{e}") from None
     deps = []
     for i, d in enumerate(raw_deps):
-        w = f"{where}.deps[{i}]"
         if not isinstance(d, dict):
-            raise ParseError(f"{w}: expected an object")
-        src, dst = get_field(d, "from", str, w), get_field(d, "to", str, w)
-        deps.append(Dep(src, dst, get_int(d, "dist", w)))
+            raise ParseError(f"{where}.deps[{i}]: expected an object")
+        try:
+            deps.append(Dep(get_field(d, "from", str, ""), get_field(d, "to", str, ""),
+                            get_int(d, "dist", "")))
+        except ParseError as e:
+            raise ParseError(f"{where}.deps[{i}]{e}") from None
     return Ddg(ops, deps)
 

@@ -24,62 +24,59 @@ converts what callers pass in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from math import ceil
 from typing import Hashable, Iterable, Sequence
 
-from .codec import Rational, as_fraction, is_int
+from .codec import Rational, _Record, _set, as_fraction, is_int
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, slots=True)
-class Op:
+class Op(_Record):
     """One operation: identifier, class tag (mul, add, load, ...), delay in ns."""
 
-    id: str
-    cls: str
-    delay_ns: Rational
+    __slots__ = _fields = ("id", "cls", "delay_ns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delay_ns", as_fraction(self.delay_ns))
+    def __init__(self, id: str, cls: str, delay_ns: Rational):
+        _set(self, "id", id)
+        _set(self, "cls", cls)
+        _set(self, "delay_ns", as_fraction(delay_ns))
 
 
-@dataclass(frozen=True, slots=True)
-class Dep:
+class Dep(_Record):
     """Dependence edge src -> dst carried across ``dist`` loop iterations."""
 
-    src: str
-    dst: str
-    dist: int
+    __slots__ = _fields = ("src", "dst", "dist")
+
+    def __init__(self, src: str, dst: str, dist: int):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "dist", dist)
 
 
-@dataclass(frozen=True, slots=True)
-class Ddg:
+class Ddg(_Record):
     """Data-dependence graph of one task's pipelined loop body, validated when built.
 
     ``order`` holds the op ids with every dist-0 source before its destination.
     """
 
-    ops: tuple[Op, ...]
-    deps: tuple[Dep, ...]
-    order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ops", "deps", "order")
+    _fields = ("ops", "deps")
 
     def __init__(self, ops: Sequence[Op], deps: Sequence[Dep] = ()):
-        object.__setattr__(self, "ops", tuple(ops))
-        object.__setattr__(self, "deps", tuple(deps))
-        if not self.ops:
+        ops = tuple(ops)
+        deps = tuple(deps)
+        if not ops:
             raise ValidationError("ddg has no operations")
-        ids = [op.id for op in self.ops]
-        if len(set(ids)) != len(ids):
+        ids = [op.id for op in ops]
+        known = set(ids)
+        if len(known) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate op id: {dup[0]}")
-        known = set(ids)
-        for op in self.ops:
-            if op.delay_ns <= 0:
+        for op in ops:
+            if op.delay_ns.numerator <= 0:
                 raise ValidationError(f"op {op.id}: delay_ns must be positive")
-        for dep in self.deps:
+        for dep in deps:
             if dep.src not in known or dep.dst not in known:
                 missing = dep.src if dep.src not in known else dep.dst
                 raise ValidationError(f"dependence names unknown op: {missing}")
@@ -87,10 +84,12 @@ class Ddg:
                 raise ValidationError(
                     f"dependence {dep.src}->{dep.dst}: dist must be a nonnegative integer"
                 )
-        order, cyc = _toposort(ids, ((d.src, d.dst) for d in self.deps if d.dist == 0))
+        order, cyc = _toposort(ids, [(d.src, d.dst) for d in deps if d.dist == 0])
         if cyc is not None:
             raise ValidationError("combinational cycle: " + "->".join(cyc + cyc[:1]))
-        object.__setattr__(self, "order", tuple(order))
+        _set(self, "ops", ops)
+        _set(self, "deps", deps)
+        _set(self, "order", tuple(order))
 
 
 def op_latency_cycles(delay_ns: Rational, f_mhz: Rational) -> int:
@@ -193,16 +192,38 @@ def _collapsed_edges(ddg: Ddg) -> dict[tuple[str, str], int]:
 
 
 def _toposort(
-    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+    nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
 ) -> tuple[list | None, list | None]:
-    """(topological order, None), or (None, a cycle from its smallest node)."""
-    ts = TopologicalSorter({v: () for v in nodes})
+    """(topological order, None), or (None, a cycle from its smallest node).
+
+    A first-in first-out Kahn sort gives the order that
+    ``graphlib.TopologicalSorter.static_order`` gives for the same nodes
+    and edges.  When nodes are left over, ``graphlib`` names the cycle,
+    so that the cycle reported is the one it finds.
+    """
+    indegree = dict.fromkeys(nodes, 0)
+    succ: dict = {v: [] for v in indegree}
+    for u, v in edges:
+        succ[u].append(v)
+        indegree[v] += 1
+    order = [v for v, n in indegree.items() if not n]
+    for u in order:  # the list grows while it is read: the queue
+        for v in succ[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    if len(order) == len(indegree):
+        return order, None
+    from graphlib import CycleError, TopologicalSorter
+
+    ts = TopologicalSorter({v: () for v in indegree})
     for u, v in edges:
         ts.add(v, u)
     try:
-        return list(ts.static_order()), None
+        ts.prepare()  # raises: nodes left over lie on or behind a cycle
     except CycleError as e:
-        return None, _canonical(e.args[1][:-1])
+        cycle = e.args[1][:-1]
+    return None, _canonical(cycle)
 
 
 def _positive_cycle(

@@ -21,53 +21,53 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .binding import bind, check_plan_coverage
-from .codec import Rational, as_fraction, is_int, load_json, num_from_json, num_to_json, save_json
+from .codec import Rational, _fmt_g, _Record, _set, as_fraction, is_int, load_json
+from .codec import num_from_json, num_to_json, save_json
 from .dfg import Dfg
 from .errors import InfeasibleError, ParseError, ValidationError
 
 STRATEGIES = ("base", "s-pump", "m-pump")
 
 
-@dataclass(frozen=True, slots=True)
-class TaskPlan:
+class TaskPlan(_Record):
     """Per-task pump factor, clock and initiation interval, validated when built."""
 
-    m: int
-    f_mhz: Fraction
-    ii: int
+    __slots__ = _fields = ("m", "f_mhz", "ii")
 
-    def __post_init__(self):
-        for key in ("m", "ii"):
-            v = getattr(self, key)
-            if not is_int(v, 1):
-                raise ValidationError(f"{key}: expected a positive integer")
-        object.__setattr__(self, "f_mhz", as_fraction(self.f_mhz))
-        if self.f_mhz <= 0:
+    def __init__(self, m: int, f_mhz: Rational, ii: int):
+        if not is_int(m, 1):
+            raise ValidationError("m: expected a positive integer")
+        if not is_int(ii, 1):
+            raise ValidationError("ii: expected a positive integer")
+        f_mhz = as_fraction(f_mhz)
+        if f_mhz <= 0:
             raise ValidationError("f_mhz: expected a positive number")
+        _set(self, "m", m)
+        _set(self, "f_mhz", f_mhz)
+        _set(self, "ii", ii)
 
 
-@dataclass(frozen=True, slots=True)
-class PumpPlan:
+class PumpPlan(_Record):
     """Operating point of every task under one strategy, validated when built."""
 
-    strategy: str
-    tasks: Mapping[str, TaskPlan]
-    kernel_base_clock_mhz: Fraction
+    __slots__ = _fields = ("strategy", "tasks", "kernel_base_clock_mhz")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "kernel_base_clock_mhz", as_fraction(self.kernel_base_clock_mhz)
-        )
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy: {self.strategy}")
-        if self.kernel_base_clock_mhz <= 0:
+    def __init__(
+        self, strategy: str, tasks: Mapping[str, TaskPlan], kernel_base_clock_mhz: Rational
+    ):
+        kernel_base_clock_mhz = as_fraction(kernel_base_clock_mhz)
+        if strategy not in STRATEGIES:
+            raise ValidationError(f"unknown strategy: {strategy}")
+        if kernel_base_clock_mhz <= 0:
             raise ValidationError("kernel_base_clock_mhz must be positive")
+        _set(self, "strategy", strategy)
+        _set(self, "tasks", tasks)
+        _set(self, "kernel_base_clock_mhz", kernel_base_clock_mhz)
 
 
 def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
@@ -106,7 +106,7 @@ def max_pump_factor(f_max_mhz: Rational, f_base_mhz: Rational, n_op: int) -> int
     headroom = int(f_max // f_base)
     if headroom < 1:
         raise InfeasibleError(
-            f"base clock infeasible: {float(f_base):g} MHz exceeds f_max {float(f_max):g} MHz"
+            f"base clock infeasible: {_fmt_g(f_base)} MHz exceeds f_max {_fmt_g(f_max)} MHz"
         )
     if n_op == 0:
         return 1
@@ -122,8 +122,8 @@ def max_single_pump_factor(dfg: Dfg, f_base_mhz: Rational) -> int:
     s = int(fmin // f_base)
     if s < 1:
         raise InfeasibleError(
-            f"base clock infeasible: {float(f_base):g} MHz exceeds "
-            f"the slowest task's f_max {float(fmin):g} MHz"
+            f"base clock infeasible: {_fmt_g(f_base)} MHz exceeds "
+            f"the slowest task's f_max {_fmt_g(fmin)} MHz"
         )
     return s
 
@@ -151,7 +151,7 @@ def _make_plans(
         if f_base > t.f_max_mhz:
             raise InfeasibleError(
                 f"base clock infeasible: task {t.name} meets timing only up to "
-                f"{float(t.f_max_mhz):g} MHz"
+                f"{_fmt_g(t.f_max_mhz)} MHz"
             )
     ii0 = {t.name: t.ii_min_at(f_base) for t in dfg.tasks}
     return {s: _build_plan(dfg, f_base, s, ii0) for s in strategies}
@@ -177,18 +177,78 @@ def _build_plan(dfg: Dfg, f_base: Fraction, strategy: str, ii0: Mapping[str, int
     return PumpPlan(strategy, entries, f_base)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+def check_plan(dfg: Dfg, plan: PumpPlan) -> None:
+    """Reject a plan that breaks the pumping identities of its strategy.
+
+    Beyond ``check_plan_coverage``: every task has II = m·II_min(f_base);
+    under ``base`` and ``m-pump`` its clock is m·f_base; under ``s-pump``
+    every task runs at one shared clock s·f_base, with m = s on DSP tasks
+    and m = 1 elsewhere.  A factor below the largest one is legal.
+    """
+    check_plan_coverage(dfg, plan)
+    f_base = plan.kernel_base_clock_mhz
+    shared = plan.tasks[dfg.tasks[0].name].f_mhz
+    s = shared / f_base
+    for t in dfg.tasks:
+        e = plan.tasks[t.name]
+        if plan.strategy != "s-pump":
+            if e.f_mhz != e.m * f_base:
+                raise ValidationError(
+                    f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not "
+                    f"m * f_base = {num_to_json(e.m * f_base)} MHz"
+                )
+        elif s.denominator != 1:
+            raise ValidationError(
+                f"task {t.name}: f_mhz {num_to_json(shared)} MHz is not a whole multiple "
+                f"of f_base {num_to_json(f_base)} MHz"
+            )
+        elif e.f_mhz != shared:
+            raise ValidationError(
+                f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not the shared "
+                f"s-pump clock {num_to_json(shared)} MHz"
+            )
+        elif e.m != (s if t.n_op_dsp > 0 else 1):
+            raise ValidationError(
+                f"task {t.name}: m {e.m} is not {s if t.n_op_dsp > 0 else 1} under s-pump"
+            )
+        ii0 = t.ii_min_at(f_base)
+        if e.ii != e.m * ii0:
+            raise ValidationError(f"task {t.name}: ii {e.ii} is not m * ii_min = {e.m * ii0}")
+
+
+class SweepRow(_Record):
     """One base-frequency sample of the throughput-vs-DSP tradeoff."""
 
-    f_base_mhz: Fraction
-    throughput_msps: Fraction
-    dsp_base: int
-    dsp_s_pump: int
-    dsp_m_pump: int
-    dsp_base_pct: Fraction
-    dsp_s_pump_pct: Fraction
-    dsp_m_pump_pct: Fraction
+    __slots__ = _fields = (
+        "f_base_mhz",
+        "throughput_msps",
+        "dsp_base",
+        "dsp_s_pump",
+        "dsp_m_pump",
+        "dsp_base_pct",
+        "dsp_s_pump_pct",
+        "dsp_m_pump_pct",
+    )
+
+    def __init__(
+        self,
+        f_base_mhz: Fraction,
+        throughput_msps: Fraction,
+        dsp_base: int,
+        dsp_s_pump: int,
+        dsp_m_pump: int,
+        dsp_base_pct: Fraction,
+        dsp_s_pump_pct: Fraction,
+        dsp_m_pump_pct: Fraction,
+    ):
+        _set(self, "f_base_mhz", f_base_mhz)
+        _set(self, "throughput_msps", throughput_msps)
+        _set(self, "dsp_base", dsp_base)
+        _set(self, "dsp_s_pump", dsp_s_pump)
+        _set(self, "dsp_m_pump", dsp_m_pump)
+        _set(self, "dsp_base_pct", dsp_base_pct)
+        _set(self, "dsp_s_pump_pct", dsp_s_pump_pct)
+        _set(self, "dsp_m_pump_pct", dsp_m_pump_pct)
 
 
 def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[SweepRow]:

@@ -57,7 +57,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -65,7 +64,7 @@ from pathlib import Path
 from typing import Union
 
 from .binding import check_plan_coverage
-from .codec import as_fraction, is_int
+from .codec import _fmt_g, _Record, _set, as_fraction, is_int
 from .dfg import Dfg
 from .errors import SimulationError, ValidationError
 from .planner import PumpPlan
@@ -76,39 +75,45 @@ MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
 REPEAT_SEARCH_ITERATIONS = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class SimConfig:
+class SimConfig(_Record):
     """Measurement window: total tokens to emit and tokens excluded up front.
 
     The timeline unit is fixed at integer picoseconds.  Validated when built.
     """
 
-    iterations: int
-    warmup: int = 0
+    __slots__ = _fields = ("iterations", "warmup")
 
-    def __post_init__(self):
-        if not is_int(self.iterations, 1):
+    def __init__(self, iterations: int, warmup: int = 0):
+        if not is_int(iterations, 1):
             raise ValidationError("iterations must be a positive integer")
-        if not is_int(self.warmup, 0) or self.warmup >= self.iterations:
+        if not is_int(warmup, 0) or warmup >= iterations:
             raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
+        _set(self, "iterations", iterations)
+        _set(self, "warmup", warmup)
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelReport:
-    src: str
-    dst: str
-    peak_occupancy: int
-    residual_tokens: int
+class ChannelReport(_Record):
+    __slots__ = _fields = ("src", "dst", "peak_occupancy", "residual_tokens")
+
+    def __init__(self, src: str, dst: str, peak_occupancy: int, residual_tokens: int):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "peak_occupancy", peak_occupancy)
+        _set(self, "residual_tokens", residual_tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class SimReport:
+class SimReport(_Record):
     """What a run measured: the rate and one FIFO peak per channel of ``dfg``."""
 
-    throughput_msps: Fraction
-    peaks: tuple[int, ...]
-    iterations: int
-    dfg: Dfg = field(repr=False)
+    __slots__ = _fields = ("throughput_msps", "peaks", "iterations", "dfg")
+    _hidden = ("dfg",)
+
+    def __init__(self, throughput_msps: Fraction, peaks: tuple[int, ...], iterations: int,
+                 dfg: Dfg):
+        _set(self, "throughput_msps", throughput_msps)
+        _set(self, "peaks", peaks)
+        _set(self, "iterations", iterations)
+        _set(self, "dfg", dfg)
 
     @property
     def channels(self) -> tuple[ChannelReport, ...]:
@@ -135,7 +140,7 @@ def _period_ps(f: Fraction) -> int:
     n, d = f.numerator, f.denominator
     if n > MAX_CLOCK_MHZ * d:
         raise SimulationError(
-            f"zero-period clock: {float(f):g} MHz exceeds the "
+            f"zero-period clock: {_fmt_g(f)} MHz exceeds the "
             f"{MAX_CLOCK_MHZ} MHz picosecond resolution limit"
         )
     q, r = divmod(PS_PER_MICROSECOND * d, n)

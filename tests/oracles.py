@@ -12,6 +12,7 @@ implementations.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import ceil
 from pathlib import Path
 from typing import Union
@@ -88,6 +89,23 @@ def oracle_critical_cycle(ddg, f_mhz) -> list[str]:
     best, winners = max_ratio(ddg, f_mhz)
     assert best is not None
     return min(winners)
+
+
+def oracle_toposort(nodes, edges) -> tuple[list | None, list | None]:
+    """(topological order, None), or (None, a cycle from its smallest node), by ``graphlib``.
+
+    ``TopologicalSorter.static_order`` fixes the order among ready nodes
+    and the cycle it reports; the package's own sort must give both.
+    """
+    ts = TopologicalSorter({v: () for v in nodes})
+    for u, v in edges:
+        ts.add(v, u)
+    try:
+        return list(ts.static_order()), None
+    except CycleError as e:
+        cycle = e.args[1][:-1]
+        k = cycle.index(min(cycle))
+        return None, cycle[k:] + cycle[:k]
 
 
 # --- simulator -------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Binding model: sharing arithmetic and whole-graph DSP totals."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -140,8 +139,8 @@ def test_bind_plan_mismatch():
         bind(dfg, both)
     # a plan clock exactly at a rational f_max is feasible; the least bit above is not
     f_max = Fraction(500, 3)
-    capped = replace(dfg, tasks=[replace(t, f_max_mhz=f_max) if t.name == "Filter2D" else t
-                                 for t in dfg.tasks])
+    capped = dfg.replace(tasks=[t.replace(f_max_mhz=f_max) if t.name == "Filter2D" else t
+                                for t in dfg.tasks])
     for f, ok in [(f_max, True), (f_max + Fraction(1, 10**6), False)]:
         clocked = type(plan)(
             plan.strategy,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,31 @@ def test_mismatched_plan_error_does_not_depend_on_warmup(capsys, tmp_path):
     expected = (EXIT_INVALID, "", "error: plan does not cover task: PoseGen\n")
     assert run(capsys, "simulate", vms, str(plan)) == expected
     assert run(capsys, "simulate", vms, str(plan), "--warmup", "10") == expected
+
+
+def test_simulate_rejects_a_plan_that_breaks_the_pumping_identities(capsys, tmp_path):
+    # conv2d's m-pump plan at 250 MHz with Filter2D hand-edited to 450 MHz,
+    # which is no multiple of the base clock
+    plan = tmp_path / "m.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "250", "--out", str(plan))[0] == EXIT_OK
+    data = json.loads(plan.read_text())
+    data["tasks"]["Filter2D"] = {"m": 2, "f_mhz": 450, "ii": 1}
+    plan.write_text(json.dumps(data))
+    assert run(capsys, "simulate", CONV, str(plan)) == (
+        EXIT_INVALID, "", "error: task Filter2D: f_mhz 450 MHz is not m * f_base = 500 MHz\n"
+    )
+
+
+def test_huge_base_clock_is_infeasible_without_traceback(capsys):
+    assert run(capsys, "analyze", CONV, "--f-base", "1e400") == (
+        EXIT_INFEASIBLE, "", "error: base clock infeasible: 1e+400 MHz exceeds f_max 330 MHz\n"
+    )
+    dfg = pumpwise.load_dfg(CONV)
+    with pytest.raises(pumpwise.InfeasibleError) as e:
+        pumpwise.max_single_pump_factor(dfg, Fraction(10**400, 3))
+    assert str(e.value) == (
+        "base clock infeasible: 3.33333e+399 MHz exceeds the slowest task's f_max 330 MHz"
+    )
 
 
 def test_simulate_small_window_warns(capsys, tmp_path):
@@ -376,6 +402,21 @@ def test_imports_are_stdlib_or_package():
             top = {n.split(".")[0] for n in names}
             outside += [(path.name, n) for n in top - sys.stdlib_module_names - {"pumpwise"}]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain __slots__ classes: importing dataclasses costs start-up
+    found = []
+    for path in sorted(Path(pumpwise.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 @pytest.mark.parametrize("dataset", ["conv2d.json", "optical.json"])

@@ -16,7 +16,8 @@ from pumpwise import (
     TaskPlan,
     ValidationError,
 )
-from pumpwise.codec import as_fraction, get_field, get_int, is_int, num_from_json
+from pumpwise.codec import _fmt_g, as_fraction, get_field, get_int, is_int, num_from_json
+from pumpwise.codec import num_to_json
 
 
 def _task(**kw):
@@ -99,3 +100,16 @@ def test_input_checks(case):
         call()
     assert type(e.value) is exc
     assert str(e.value) == message
+
+
+def test_numbers_beyond_float_range_round_trip_and_format():
+    for x in (Fraction(10**400, 3), Fraction(-(10**500) - 1, 7)):
+        assert num_from_json(num_to_json(x), "x") == x
+    assert num_to_json(Fraction(10**400, 3)) == f"{10**400}/3"
+    assert num_to_json(Fraction(10**400)) == 10**400
+    assert _fmt_g(Fraction(10**400)) == "1e+400"
+    assert _fmt_g(Fraction(-7 * 10**500, 9)) == "-7.77778e+499"
+    assert _fmt_g(Fraction(2**1024)) == "1.79769e+308"
+    # within float range it is exactly the :g format of the float
+    for x in (Fraction(1000, 3), Fraction(10**300), Fraction(1, 10**400), 165, 0.1):
+        assert _fmt_g(x) == f"{float(x):g}"

@@ -11,8 +11,10 @@ from oracles import (
     min_dist_edges,
     oracle_critical_cycle,
     oracle_min_ii,
+    oracle_toposort,
     quantized_latency,
 )
+from pumpwise.ii import _toposort
 from pumpwise import Ddg, Dep, Op, ValidationError, critical_cycle, min_ii, op_latency_cycles, pipeline_depth
 from conftest import FREQ_CHOICES, random_ddg
 
@@ -210,6 +212,26 @@ def test_ddg_order_puts_dist0_sources_first():
         assert sorted(ddg.order) == sorted(op.id for op in ddg.ops)
         pos = {v: i for i, v in enumerate(ddg.order)}
         assert all(pos[d.src] < pos[d.dst] for d in ddg.deps if d.dist == 0)
+
+
+def test_toposort_equals_graphlib_in_order_and_cycle():
+    # random nodes in random order; parallel edges, self-loops and cycles,
+    # and half the graphs acyclic by construction
+    rng = random.Random(2024)
+    cyclic = 0
+    for _ in range(3000):
+        nodes = [f"v{i}" for i in rng.sample(range(20), rng.randint(1, 9))]
+        acyclic = rng.random() < 0.5
+        edges = []
+        for _ in range(rng.randint(0, 3 * len(nodes))):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            if acyclic and nodes.index(u) >= nodes.index(v):
+                continue
+            edges += [(u, v)] * rng.choice([1, 1, 1, 2])
+        got = _toposort(nodes, edges)
+        assert got == oracle_toposort(nodes, edges), (nodes, edges)
+        cyclic += got[1] is not None
+    assert 500 < cyclic < 1500
 
 
 def test_pipeline_depth_ignores_carried_deps():

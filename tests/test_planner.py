@@ -16,6 +16,7 @@ from pumpwise import (
     TaskPlan,
     ValidationError,
     bind,
+    check_plan,
     compute_throughput,
     datasets,
     graph_throughput,
@@ -293,6 +294,63 @@ def test_plan_file_round_trip_non_decimal_clock(tmp_path):
 
     with pytest.raises(ParseError, match="kernel_base_clock_mhz"):
         load_plan(p)
+
+
+def test_check_plan_accepts_every_plan_the_planner_writes(tmp_path):
+    clocks = [Fraction(25), Fraction(100), Fraction(1000, 7), Fraction(331, 2), Fraction(250)]
+    for name in datasets.names():
+        dfg = load_dfg(datasets.path(name))
+        for f in clocks + [dfg.min_f_max_mhz]:
+            if f > dfg.min_f_max_mhz:
+                continue
+            for strategy in ("base", "s-pump", "m-pump"):
+                p = tmp_path / "plan.json"
+                save_plan(make_plan(dfg, f, strategy), p)
+                check_plan(dfg, load_plan(p))
+
+
+def _edit(plan, task, **changes):
+    return plan.replace(tasks=dict(plan.tasks, **{task: plan.tasks[task].replace(**changes)}))
+
+
+def test_check_plan_rejects_broken_pumping_identities():
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    mpump = make_plan(dfg, 250, "m-pump")
+    spump = make_plan(dfg, 165, "s-pump")
+    cases = [
+        (_edit(mpump, "Filter2D", f_mhz=450, ii=1),
+         "task Filter2D: f_mhz 450 MHz is not m * f_base = 500 MHz"),
+        (_edit(mpump, "Filter2D", ii=1), "task Filter2D: ii 1 is not m * ii_min = 2"),
+        (_edit(make_plan(dfg, 250, "base"), "Window2D", m=2),
+         "task Window2D: f_mhz 250 MHz is not m * f_base = 500 MHz"),
+        (_edit(spump, "WriteToMem", f_mhz=165),
+         "task WriteToMem: f_mhz 165 MHz is not the shared s-pump clock 330 MHz"),
+        (_edit(spump, "ReadFromMem", m=2, ii=2),
+         "task ReadFromMem: m 2 is not 1 under s-pump"),
+        (spump.replace(kernel_base_clock_mhz=200),
+         "task ReadFromMem: f_mhz 330 MHz is not a whole multiple of f_base 200 MHz"),
+    ]
+    for plan, message in cases:
+        with pytest.raises(ValidationError) as e:
+            check_plan(dfg, plan)
+        assert str(e.value) == message
+    # the f_max and coverage checks come first, with their own messages
+    with pytest.raises(ValidationError, match="plan clock 5000 MHz exceeds f_max 500 MHz"):
+        check_plan(dfg, _edit(mpump, "Filter2D", m=1, f_mhz=5000, ii=1))
+
+
+def test_check_plan_allows_a_factor_below_the_largest():
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    plan = make_plan(dfg, 165, "m-pump")
+    assert plan.tasks["Filter2D"].m == 3
+    check_plan(dfg, _edit(plan, "Filter2D", m=2, f_mhz=330, ii=2))
+    # an s-pump plan with a smaller shared factor than the largest
+    plan = make_plan(dfg, 110, "s-pump")
+    assert plan.tasks["Filter2D"].m == 3
+    check_plan(dfg, plan.replace(tasks={
+        name: e.replace(m=2 if e.m == 3 else 1, f_mhz=220, ii=2 if e.m == 3 else 1)
+        for name, e in plan.tasks.items()
+    }))
 
 
 def test_plan_file_validation(tmp_path):
