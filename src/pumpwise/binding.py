@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .codec import _fmt_g, _Record, _set, is_int
+from .codec import _fmt_g, _Record, is_int
 from .dfg import Dfg
 from .errors import ValidationError
 
@@ -38,19 +38,9 @@ def scaled_partition(base_factor: int, m: int) -> int:
 class TaskBinding(_Record):
     __slots__ = _fields = ("n_fu_dsp", "n_mem_ports", "partition_factor")
 
-    def __init__(self, n_fu_dsp: int, n_mem_ports: int, partition_factor: int):
-        _set(self, "n_fu_dsp", n_fu_dsp)
-        _set(self, "n_mem_ports", n_mem_ports)
-        _set(self, "partition_factor", partition_factor)
-
 
 class BindingResult(_Record):
     __slots__ = _fields = ("per_task", "total_dsp", "dsp_pct")
-
-    def __init__(self, per_task: dict[str, TaskBinding], total_dsp: int, dsp_pct: Fraction):
-        _set(self, "per_task", per_task)
-        _set(self, "total_dsp", total_dsp)
-        _set(self, "dsp_pct", dsp_pct)
 
 
 def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
@@ -61,14 +51,14 @@ def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
     for t in dfg.tasks:
         entry = plan.tasks[t.name]
         b = TaskBinding(
-            n_fu_dsp=fu_count(t.n_op_dsp, entry.ii),
-            n_mem_ports=fu_count(t.n_op_mem, entry.ii),
-            partition_factor=scaled_partition(t.base_partition_factor, entry.m),
+            fu_count(t.n_op_dsp, entry.ii),
+            fu_count(t.n_op_mem, entry.ii),
+            scaled_partition(t.base_partition_factor, entry.m),
         )
         per_task[t.name] = b
         total += b.n_fu_dsp
     pct = Fraction(100 * total, dfg.device_dsp_total)
-    return BindingResult(per_task=per_task, total_dsp=total, dsp_pct=pct)
+    return BindingResult(per_task, total, pct)
 
 
 def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:

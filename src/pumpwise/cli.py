@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import datasets
 from .binding import BindingResult, bind
-from .codec import as_fraction
+from .codec import _fmt_g, as_fraction
 from .dfg import Dfg, load_dfg
 from .errors import InfeasibleError, ParseError, PumpwiseError
 from .planner import (
@@ -48,13 +48,10 @@ SWEEP_CSV_HEADER = (
 
 def _fmt_num(x) -> str:
     fx = as_fraction(x)
-    if fx.denominator == 1:
-        return str(fx.numerator)
-    return repr(float(fx))
-
-
-def _fmt_msps(x) -> str:
-    return f"{float(x):.6g}"
+    try:
+        return str(fx.numerator) if fx.denominator == 1 else repr(float(fx))
+    except (OverflowError, ValueError):  # beyond float range or the int-string limit
+        return _fmt_g(fx)
 
 
 def _fmt_pct(x) -> str:
@@ -182,7 +179,7 @@ def cmd_optimize(args) -> int:
     print(_plan_table(dfg, plan, binding))
     if args.strategy == "s-pump":  # one shared clock
         print(f"kernel clock: {_fmt_num(plan.tasks[dfg.tasks[0].name].f_mhz)} MHz")
-    print(f"DSP {dsp_before} -> {binding.total_dsp}, throughput {_fmt_msps(thr)} msps preserved")
+    print(f"DSP {dsp_before} -> {binding.total_dsp}, throughput {_fmt_g(thr)} msps preserved")
     print(f"plan written: {out}")
     return EXIT_OK
 
@@ -206,15 +203,15 @@ def cmd_simulate(args) -> int:
     plan = load_plan(args.plan)
     check_plan(dfg, plan)
     report, analytic, err = _cross_check(args, dfg, plan, trace=args.trace)
-    print(f"throughput: {_fmt_msps(report.throughput_msps)} msps")
-    print(f"analytic:   {_fmt_msps(analytic)} msps")
+    print(f"throughput: {_fmt_g(report.throughput_msps)} msps")
+    print(f"analytic:   {_fmt_g(analytic)} msps")
     print(f"relative error: {float(err) * 100:.3f} %")
     print("channel occupancy:")
-    for ch in report.channels:
-        print(f"  {ch.src}->{ch.dst}: peak {ch.peak_occupancy}")
+    for c, peak in zip(dfg.channels, report.peaks):
+        print(f"  {c.src}->{c.dst}: peak {peak}")
     print("firings:")
-    for name, n in report.firings.items():
-        print(f"  {name}: {n}")
+    for t in dfg.tasks:
+        print(f"  {t.name}: {report.iterations}")
     if err > SIM_REGRESSION_LIMIT:
         _regression_error("", err)
         return EXIT_SIM_REGRESSION
@@ -236,14 +233,14 @@ def cmd_report(args) -> int:
     for s, plan in plans.items():
         report, analytic, errs[s] = _cross_check(args, dfg, plan, prefix=f"{s}: ")
         sim_rows.append(
-            [s, _fmt_msps(analytic), _fmt_msps(report.throughput_msps),
+            [s, _fmt_g(analytic), _fmt_g(report.throughput_msps),
              f"{float(errs[s]) * 100:.3f}"]
         )
 
     summary = []
     summary.append(f"graph: {args.dfg}")
     summary.append(f"base clock: {_fmt_num(args.f_base)} MHz")
-    summary.append(f"effective throughput: {_fmt_msps(graph_throughput(dfg, plans['base']))} msps")
+    summary.append(f"effective throughput: {_fmt_g(graph_throughput(dfg, plans['base']))} msps")
     summary.append("")
     for s, plan in plans.items():
         binding = bind(dfg, plan)

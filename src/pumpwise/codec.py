@@ -14,7 +14,11 @@ Model records derive from ``_Record``: immutable ``__slots__`` objects
 whose ``==``, ``hash()`` and ``repr()`` run over their fields, as a
 frozen dataclass's would, and whose ``replace`` builds a new object
 through the constructor, so that it is validated again.  Each record
-writes its own ``__init__``, which validates and stores its fields.
+gets ``_store``, a constructor compiled from its ``_fields`` that takes
+them by position or keyword and stores them.  A record without checks
+uses it as its ``__init__``; one that checks or normalizes its fields,
+or gives them defaults, writes its own ``__init__`` and ends it with
+``self._store(...)``.
 
 Identifiers are interned: ``get_field`` returns one shared object for
 every equal ``str`` it reads, so a task name, channel endpoint, op id, op
@@ -45,7 +49,7 @@ _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 _MISSING = object()
 # six significant digits at any exponent, for numbers beyond float range
 _WIDE = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
-# how a record's constructor stores its fields past the frozen __setattr__
+# how a record stores its fields, and derived facts, past the frozen __setattr__
 _set = object.__setattr__
 
 
@@ -60,6 +64,19 @@ class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # compiled once per record, as namedtuple compiles its __new__: Python
+        # binds the arguments, so a call costs what hand-written stores cost
+        params = ", ".join(cls._fields)
+        stores = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+        ns = {}
+        exec(f"def __init__(self, {params}):{stores}", {"_set": _set}, ns)
+        cls._store = ns["__init__"]
+        cls._store.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._store
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -132,6 +149,12 @@ def load_json(path: Union[str, Path]):
         return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError:  # a number beyond the int-string conversion limit
+        raise ParseError(f"{path}: {_too_long()}") from None
+
+
+def _too_long() -> str:
+    return f"number has more than {sys.get_int_max_str_digits()} digits"
 
 
 def save_json(data, path: Union[str, Path]) -> None:
@@ -142,8 +165,11 @@ def save_json(data, path: Union[str, Path]) -> None:
 def num_from_json(v, where: str) -> Fraction:
     """Exact rational from a finite JSON number or a ``"p/q"`` string."""
     if isinstance(v, str):
-        if _RATIO.fullmatch(v) and int(v.partition("/")[2]) != 0:
-            return Fraction(v)
+        try:
+            if _RATIO.fullmatch(v) and int(v.partition("/")[2]) != 0:
+                return Fraction(v)
+        except ValueError:  # a number beyond the int-string conversion limit
+            raise ParseError(f"{where}: {_too_long()}") from None
         raise ParseError(f'{where}: expected a number or a "p/q" string')
     if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
         raise ParseError(f"{where}: expected a number")

@@ -6,19 +6,19 @@ are illustrative only; their shapes and clock ranges are realistic but
 their per-task characterization is not measured data.
 """
 
-from importlib import resources
 from pathlib import Path
+
+_ROOT = Path(__file__).parent
 
 
 def names() -> list[str]:
     """Bundled dataset file names."""
-    root = resources.files(__package__)
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name for p in _ROOT.iterdir() if p.name.endswith(".json"))
 
 
 def path(name: str) -> Path:
     """Filesystem path of a bundled dataset."""
-    p = resources.files(__package__).joinpath(name)
+    p = _ROOT / name
     if not p.is_file():
         raise FileNotFoundError(f"no bundled dataset named {name!r}; available: {names()}")
-    return Path(str(p))
+    return p

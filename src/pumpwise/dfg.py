@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .codec import Rational, _fmt_g, _Record, _set, as_fraction, get_field, get_int, get_num
 from .codec import is_int, load_json, num_to_json, save_json
@@ -83,14 +83,8 @@ class Task(_Record):
                 raise ValidationError(
                     f"task {name}: pipeline_depth is required when no ddg is given"
                 )
-        _set(self, "name", name)
-        _set(self, "f_max_mhz", f_max_mhz)
-        _set(self, "n_op_dsp", n_op_dsp)
-        _set(self, "n_op_mem", n_op_mem)
-        _set(self, "base_partition_factor", base_partition_factor)
-        _set(self, "ii_min_base", ii_min_base)
-        _set(self, "pipeline_depth", pipeline_depth)
-        _set(self, "ddg", ddg)
+        self._store(name, f_max_mhz, n_op_dsp, n_op_mem, base_partition_factor,
+                         ii_min_base, pipeline_depth, ddg)
 
     def ii_min_at(self, f_mhz: Rational) -> int:
         """Minimum II at the given clock: DDG-derived when one is attached."""
@@ -113,9 +107,7 @@ class Channel(_Record):
     __slots__ = _fields = ("src", "dst", "depth")
 
     def __init__(self, src: str, dst: str, depth: int = DEFAULT_CHANNEL_DEPTH):
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "depth", depth)
+        self._store(src, dst, depth)
 
 
 class Dfg(_Record):
@@ -135,14 +127,9 @@ class Dfg(_Record):
         device_dsp_total: int,
         memory_bound_msps: Rational | None = None,
     ):
-        _set(self, "tasks", tuple(tasks))
-        _set(self, "channels", tuple(channels))
-        _set(self, "device_dsp_total", device_dsp_total)
-        _set(
-            self,
-            "memory_bound_msps",
-            None if memory_bound_msps is None else as_fraction(memory_bound_msps),
-        )
+        if memory_bound_msps is not None:
+            memory_bound_msps = as_fraction(memory_bound_msps)
+        self._store(tuple(tasks), tuple(channels), device_dsp_total, memory_bound_msps)
         self.validate()
 
     def task(self, name: str) -> Task:
@@ -208,9 +195,6 @@ class Characterization(_Record):
     """Per-task (f_max_mhz, n_op_dsp) overrides measured from implementation."""
 
     __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: Mapping[str, tuple[Rational, int]]):
-        _set(self, "entries", entries)
 
 
 def merge_characterization(dfg: Dfg, ch: Characterization) -> Dfg:

@@ -38,20 +38,13 @@ class Op(_Record):
     __slots__ = _fields = ("id", "cls", "delay_ns")
 
     def __init__(self, id: str, cls: str, delay_ns: Rational):
-        _set(self, "id", id)
-        _set(self, "cls", cls)
-        _set(self, "delay_ns", as_fraction(delay_ns))
+        self._store(id, cls, as_fraction(delay_ns))
 
 
 class Dep(_Record):
     """Dependence edge src -> dst carried across ``dist`` loop iterations."""
 
     __slots__ = _fields = ("src", "dst", "dist")
-
-    def __init__(self, src: str, dst: str, dist: int):
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "dist", dist)
 
 
 class Ddg(_Record):
@@ -87,8 +80,7 @@ class Ddg(_Record):
         order, cyc = _toposort(ids, [(d.src, d.dst) for d in deps if d.dist == 0])
         if cyc is not None:
             raise ValidationError("combinational cycle: " + "->".join(cyc + cyc[:1]))
-        _set(self, "ops", ops)
-        _set(self, "deps", deps)
+        self._store(ops, deps)
         _set(self, "order", tuple(order))
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .binding import bind, check_plan_coverage
-from .codec import Rational, _fmt_g, _Record, _set, as_fraction, is_int, load_json
+from .codec import Rational, _fmt_g, _Record, as_fraction, is_int, load_json
 from .codec import num_from_json, num_to_json, save_json
 from .dfg import Dfg
 from .errors import InfeasibleError, ParseError, ValidationError
@@ -47,9 +47,7 @@ class TaskPlan(_Record):
         f_mhz = as_fraction(f_mhz)
         if f_mhz <= 0:
             raise ValidationError("f_mhz: expected a positive number")
-        _set(self, "m", m)
-        _set(self, "f_mhz", f_mhz)
-        _set(self, "ii", ii)
+        self._store(m, f_mhz, ii)
 
 
 class PumpPlan(_Record):
@@ -65,9 +63,7 @@ class PumpPlan(_Record):
             raise ValidationError(f"unknown strategy: {strategy}")
         if kernel_base_clock_mhz <= 0:
             raise ValidationError("kernel_base_clock_mhz must be positive")
-        _set(self, "strategy", strategy)
-        _set(self, "tasks", tasks)
-        _set(self, "kernel_base_clock_mhz", kernel_base_clock_mhz)
+        self._store(strategy, tasks, kernel_base_clock_mhz)
 
 
 def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
@@ -230,26 +226,6 @@ class SweepRow(_Record):
         "dsp_m_pump_pct",
     )
 
-    def __init__(
-        self,
-        f_base_mhz: Fraction,
-        throughput_msps: Fraction,
-        dsp_base: int,
-        dsp_s_pump: int,
-        dsp_m_pump: int,
-        dsp_base_pct: Fraction,
-        dsp_s_pump_pct: Fraction,
-        dsp_m_pump_pct: Fraction,
-    ):
-        _set(self, "f_base_mhz", f_base_mhz)
-        _set(self, "throughput_msps", throughput_msps)
-        _set(self, "dsp_base", dsp_base)
-        _set(self, "dsp_s_pump", dsp_s_pump)
-        _set(self, "dsp_m_pump", dsp_m_pump)
-        _set(self, "dsp_base_pct", dsp_base_pct)
-        _set(self, "dsp_s_pump_pct", dsp_s_pump_pct)
-        _set(self, "dsp_m_pump_pct", dsp_m_pump_pct)
-
 
 def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[SweepRow]:
     """Sample base clocks from f_lo to f_hi and bind all three strategies.
@@ -271,19 +247,10 @@ def sweep(dfg: Dfg, f_lo: Rational, f_hi: Rational, step: Rational) -> list[Swee
     f = lo
     while f <= hi:
         plans = _make_plans(dfg, f, STRATEGIES)
-        bound = {s: bind(dfg, p) for s, p in plans.items()}
-        rows.append(
-            SweepRow(
-                f_base_mhz=f,
-                throughput_msps=graph_throughput(dfg, plans["base"]),
-                dsp_base=bound["base"].total_dsp,
-                dsp_s_pump=bound["s-pump"].total_dsp,
-                dsp_m_pump=bound["m-pump"].total_dsp,
-                dsp_base_pct=bound["base"].dsp_pct,
-                dsp_s_pump_pct=bound["s-pump"].dsp_pct,
-                dsp_m_pump_pct=bound["m-pump"].dsp_pct,
-            )
-        )
+        # the DSP columns follow STRATEGIES: base, s-pump, m-pump
+        bound = [bind(dfg, plans[s]) for s in STRATEGIES]
+        rows.append(SweepRow(f, graph_throughput(dfg, plans["base"]),
+                             *[b.total_dsp for b in bound], *[b.dsp_pct for b in bound]))
         f += st
     return rows
 

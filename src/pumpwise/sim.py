@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Union
 
 from .binding import check_plan_coverage
-from .codec import _fmt_g, _Record, _set, as_fraction, is_int
+from .codec import _fmt_g, _Record, as_fraction, is_int
 from .dfg import Dfg
 from .errors import SimulationError, ValidationError
 from .planner import PumpPlan
@@ -88,18 +88,14 @@ class SimConfig(_Record):
             raise ValidationError("iterations must be a positive integer")
         if not is_int(warmup, 0) or warmup >= iterations:
             raise ValidationError("warmup must satisfy 0 <= warmup < iterations")
-        _set(self, "iterations", iterations)
-        _set(self, "warmup", warmup)
+        self._store(iterations, warmup)
 
 
+# ChannelReport and SimReport's ``channels`` and ``firings`` restate ``peaks``
+# and ``iterations`` per channel and task; nothing in the package reads them,
+# and they stay only because the benchmark harness in ``perfbench/`` does.
 class ChannelReport(_Record):
     __slots__ = _fields = ("src", "dst", "peak_occupancy", "residual_tokens")
-
-    def __init__(self, src: str, dst: str, peak_occupancy: int, residual_tokens: int):
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "peak_occupancy", peak_occupancy)
-        _set(self, "residual_tokens", residual_tokens)
 
 
 class SimReport(_Record):
@@ -107,13 +103,6 @@ class SimReport(_Record):
 
     __slots__ = _fields = ("throughput_msps", "peaks", "iterations", "dfg")
     _hidden = ("dfg",)
-
-    def __init__(self, throughput_msps: Fraction, peaks: tuple[int, ...], iterations: int,
-                 dfg: Dfg):
-        _set(self, "throughput_msps", throughput_msps)
-        _set(self, "peaks", peaks)
-        _set(self, "iterations", iterations)
-        _set(self, "dfg", dfg)
 
     @property
     def channels(self) -> tuple[ChannelReport, ...]:

@@ -405,7 +405,15 @@ def test_imports_are_stdlib_or_package():
 
 
 def test_no_module_imports_dataclasses():
-    # records are plain __slots__ classes: importing dataclasses costs start-up
+    # records are plain __slots__ classes and datasets are read by path:
+    # dataclasses, inspect and importlib.resources cost start-up.  -S keeps
+    # out the .pth files of site-packages, which may import them on their own
+    probe = ("import sys, pumpwise.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     found = []
     for path in sorted(Path(pumpwise.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -437,6 +445,42 @@ def test_commands_byte_identical_across_runs(capsys, tmp_path):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_unknown_dataset_name_lists_the_bundled_ones():
+    with pytest.raises(FileNotFoundError) as e:
+        datasets.path("nope.json")
+    assert str(e.value) == (
+        "no bundled dataset named 'nope.json'; "
+        "available: ['conv2d.json', 'optical.json', 'vms.json']"
+    )
+
+
+def test_number_too_long_to_read_exits_two(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    text = Path(CONV).read_text()
+    graph = json.loads(text)
+    long_total = tmp_path / "long_total.json"
+    long_total.write_text(text.replace(f'"device_dsp_total": {graph["device_dsp_total"]}',
+                                       '"device_dsp_total": 1' + "0" * digits))
+    graph["tasks"][0]["f_max_mhz"] = "1" + "0" * digits + "/3"
+    long_ratio = tmp_path / "long_ratio.json"
+    long_ratio.write_text(json.dumps(graph))
+    for path, where in [(long_total, long_total), (long_ratio, "tasks[0].f_max_mhz")]:
+        assert run(capsys, "analyze", str(path), "--f-base", "165") == (
+            EXIT_INVALID, "", f"error: {where}: number has more than {digits} digits\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "step,shown", [("1e5000", "1e+5000"), ("1" + "0" * 400 + "/3", "3.33333e+399")],
+    ids=["1e5000", "10^400/3"],
+)
+def test_report_prints_a_step_beyond_float_range(capsys, tmp_path, step, shown):
+    code, stdout, _ = run(capsys, "report", CONV, "--f-base", "165", "--out",
+                          str(tmp_path / "bundle"), "--iterations", "2000", "--step", step)
+    assert code == EXIT_OK
+    assert stdout.endswith(f"sweep rows: 1 (165..330 MHz step {shown})\n")
 
 
 def test_non_finite_input_exits_two_without_traceback(tmp_path):

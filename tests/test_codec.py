@@ -1,5 +1,6 @@
 """Codec: the count rule on every count field of the model, and the field readers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,13 @@ from pumpwise import (
     TaskPlan,
     ValidationError,
 )
-from pumpwise.codec import _fmt_g, as_fraction, get_field, get_int, is_int, num_from_json
-from pumpwise.codec import num_to_json
+from pumpwise.codec import _fmt_g, as_fraction, get_field, get_int, is_int, load_json
+from pumpwise.codec import num_from_json, num_to_json
+
+
+# one digit more than int() may convert from a string
+LONG = "1" + "0" * sys.get_int_max_str_digits()
+TOO_LONG = f"number has more than {sys.get_int_max_str_digits()} digits"
 
 
 def _task(**kw):
@@ -90,6 +96,9 @@ INPUT_CHECKS = {
         lambda: get_field({"k": True}, "k", int, "w"), ParseError, "w.k: expected int"
     ),
     "get_int missing": (lambda: get_int({}, "k", "w"), ParseError, "w.k: missing required field"),
+    "num_from_json long p/q": (
+        lambda: num_from_json(LONG + "/3", "w"), ParseError, "w: " + TOO_LONG
+    ),
 }
 
 
@@ -113,3 +122,13 @@ def test_numbers_beyond_float_range_round_trip_and_format():
     # within float range it is exactly the :g format of the float
     for x in (Fraction(1000, 3), Fraction(10**300), Fraction(1, 10**400), 165, 0.1):
         assert _fmt_g(x) == f"{float(x):g}"
+
+
+@pytest.mark.parametrize("literal", [LONG, LONG + ".5", "0." + LONG],
+                         ids=["integer", "whole part", "fraction part"])
+def test_load_json_names_the_file_of_a_number_too_long_to_read(tmp_path, literal):
+    path = tmp_path / "long.json"
+    path.write_text('{"device_dsp_total": ' + literal + "}")
+    with pytest.raises(ParseError) as e:
+        load_json(path)
+    assert str(e.value) == f"{path}: {TOO_LONG}"

@@ -4,12 +4,15 @@ The expected ``repr()`` strings are the ones the earlier frozen-dataclass
 records printed, so that logs and doctests read the same.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pumpwise
 from pumpwise import (
     BindingResult,
     Channel,
@@ -193,3 +196,58 @@ def test_replace_validates_again():
     # the derived order follows the new fields
     assert DDG.replace(deps=[Dep("b", "a", 0)]).order == ("b", "a")
     assert TASK.replace(f_max_mhz=0.5).f_max_mhz == Fraction(1, 2)
+
+
+def test_plain_records_bind_keywords_like_a_signature():
+    assert TaskBinding(n_fu_dsp=1, n_mem_ports=2, partition_factor=3) == TaskBinding(1, 2, 3)
+    assert TaskBinding(1, partition_factor=3, n_mem_ports=2) == TaskBinding(1, 2, 3)
+    assert Dep(dist=0, dst="b", src="a").dst == "b"
+    assert Op(id="a", cls="mul", delay_ns=0.5).delay_ns == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TaskBinding(1, 2, 3, 4),
+         "TaskBinding.__init__() takes 4 positional arguments but 5 were given"),
+        (lambda: TaskBinding(1, 2),
+         "TaskBinding.__init__() missing 1 required positional argument: 'partition_factor'"),
+        (lambda: Dep("a", "b", dist=0, weight=1),
+         "Dep.__init__() got an unexpected keyword argument 'weight'"),
+        (lambda: Dep("a", "b", 0, src="c"), "Dep.__init__() got multiple values for argument 'src'"),
+        (lambda: Characterization({}, entries={}),
+         "Characterization.__init__() got multiple values for argument 'entries'"),
+    ],
+)
+def test_plain_records_reject_a_wrong_argument_list(call, message):
+    with pytest.raises(TypeError) as e:
+        call()
+    assert str(e.value) == message
+
+
+STORING_ONLY = {"Dep", "Characterization", "TaskBinding", "BindingResult", "ChannelReport",
+                "SimReport", "SweepRow"}
+
+
+def test_fields_are_stored_by_the_one_record_constructor():
+    # records that only store their fields use the constructor compiled from
+    # their _fields, and outside codec the raw store sets only the two derived
+    # orders
+    inits, uses, stores, importers = [], [], [], set()
+    for path in sorted(Path(pumpwise.__file__).parent.glob("*.py")):
+        if path.name == "codec.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in STORING_ONLY:
+                inits += [node.name for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "_set" for a in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.Name) and node.id == "_set":
+                uses.append(path.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_set":
+                stores.append((path.name, ast.literal_eval(node.args[1])))
+    assert inits == []
+    assert sorted(stores) == [("dfg.py", "task_order"), ("ii.py", "order")]
+    # each use of _set is one of those calls, and no module imports it unused
+    assert sorted(uses) == ["dfg.py", "ii.py"] and importers == {"dfg.py", "ii.py"}
