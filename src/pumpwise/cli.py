@@ -49,13 +49,19 @@ SWEEP_CSV_HEADER = (
 def _fmt_num(x) -> str:
     fx = as_fraction(x)
     try:
-        return str(fx.numerator) if fx.denominator == 1 else repr(float(fx))
+        if fx.denominator == 1:
+            return str(fx.numerator)
+        if abs(float(fx)) >= sys.float_info.min:  # a non-integer is nonzero
+            return repr(float(fx))
     except (OverflowError, ValueError):  # beyond float range or the int-string limit
-        return _fmt_g(fx)
+        pass
+    return _fmt_g(fx)
 
 
 def _fmt_pct(x) -> str:
-    return f"{float(x):.2f}"
+    """A percentage, never negative, to two decimals: its exact value rounded half to even."""
+    whole, cents = divmod(round(as_fraction(x) * 100), 100)
+    return f"{whole}.{cents:02d}"
 
 
 def _resolve(pathstr: str) -> Path:

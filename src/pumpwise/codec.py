@@ -125,12 +125,11 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 def _fmt_g(x) -> str:
-    """``f"{float(x):g}"``, also for rationals beyond float range."""
-    try:
+    """``f"{float(x):g}"``, also for rationals beyond float range, large or small."""
+    x = as_fraction(x)
+    if not x or sys.float_info.min <= abs(x) <= sys.float_info.max:
         return f"{float(x):g}"
-    except OverflowError:
-        x = as_fraction(x)
-        return format(_WIDE.divide(x.numerator, x.denominator).normalize(_WIDE), "g")
+    return format(_WIDE.divide(x.numerator, x.denominator).normalize(_WIDE), "g")
 
 
 def is_int(v, least: int | None = None) -> bool:

@@ -27,12 +27,14 @@ task's previous start and, per FIFO of depth d, the last d consumer
 starts, so without a trace memory does not grow with ``iterations``.
 
 The timeline is integer picoseconds with clock periods rounded to the
-nearest picosecond, ties to even.  Events at one picosecond are ordered
-by task index, a completion before a start, except that a start whose
-token or slot comes from a same-time event with a larger key runs right
-after that event: the smallest-key topological order of each timestamp.
-FIFO peaks and the trace follow this order, so a simulation is
-deterministic down to the bit.
+nearest picosecond, ties to even.  An event has a key, 2*i for a
+completion of task i and 2*i + 1 for a start, and the events of one
+picosecond run smallest key first among those not waiting: a start of
+iteration k waits for the same-time events that give it a token or a
+slot, (2*p, k) for each producer p and (2*j + 1, k - d) for each
+consumer j behind a FIFO of depth d.  A picosecond's order thus follows
+from its (key, iteration offset) pairs alone.  FIFO peaks and the trace
+follow this order, so a simulation is deterministic down to the bit.
 
 A timed marked graph becomes periodic after a transient: the state after
 iteration k + c is the state after iteration k shifted by a time T.
@@ -54,7 +56,6 @@ plain loop costs.  A skipped period's trace is the last one's, shifted.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
@@ -73,6 +74,7 @@ PS_PER_MICROSECOND = 10**6
 MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
 # iterations after which the search for a periodic regime gives up
 REPEAT_SEARCH_ITERATIONS = 1024
+TRACE_CHUNK = 1 << 14  # trace lines formatted per write
 
 
 class SimConfig(_Record):
@@ -170,10 +172,8 @@ def simulate(
         pd_ps.append(p * t.pipeline_depth_at(entry.f_mhz))
 
     # Times are scaled by K and carry a tie key below K, so that comparing
-    # t*K + key also orders the events of one picosecond.  A completion of
-    # task i has key 2*i; a start of task i has the largest key among
-    # itself (2*i + 1) and the same-time events that gave it its tokens
-    # and slots, since it runs right after the last of them.
+    # t*K + key also orders the events of one picosecond: a start's tie key
+    # is the largest of its own and those of the same-time events it waits for.
     K = 2 * ntasks
     nchan = len(dfg.channels)
     # per channel, the consumer starts k-d .. k-1 that free the producer's
@@ -333,27 +333,16 @@ def _write_trace(path, dfg, index, history, K, pd_ps) -> None:
     """One ``time_ps,task,kind,iteration`` line per start and completion.
 
     ``history`` holds each task's starts on the simulation's scaled
-    timeline, tie key included.  Events sort by time, then key: 2*i for a
-    completion of task i and 2*i + 1 for a start.  A start whose tie key
-    is larger than its own key waits for a same-time event with a larger
-    key; in a picosecond with such a start, the smallest-key event whose
-    waits are over goes next.
+    timeline, tie key included.  Events sort by time, then key, which is
+    the run order unless a start waits for a larger key; its tie key then
+    exceeds its own, and its picosecond is reordered, once per shape.
     """
-    start = [[x // K for x in xs] for xs in history]
-    producers = [[] for _ in history]
-    consumers = [[] for _ in history]
+    # per start key, the (key, iteration lag) of each event it can wait for
+    givers = [[] for _ in range(K)]
     for ch in dfg.channels:
         p, c = index[ch.src], index[ch.dst]
-        producers[c].append(p)
-        consumers[p].append((c, ch.depth))
-
-    def waits(t, key, k):
-        """Keys of the same-time events start ``key`` of iteration k waits for."""
-        i = key >> 1
-        return [2 * p for p in producers[i] if start[p][k] + pd_ps[p] == t] + [
-            2 * j + 1 for j, d in consumers[i] if k >= d and start[j][k - d] == t
-        ]
-
+        givers[2 * c + 1].append((2 * p, 0))
+        givers[2 * p + 1].append((2 * c + 1, ch.depth))
     events = []
     late = set()
     for i, xs in enumerate(history):
@@ -366,36 +355,40 @@ def _write_trace(path, dfg, index, history, K, pd_ps) -> None:
             events.append((t, key, k))
             events.append((t + pd, key - 1, k))
     events.sort()
-    for t in late:
-        lo = bisect_left(events, (t,))
-        hi = bisect_left(events, (t + 1,))
-        events[lo:hi] = _min_key_topological(events[lo:hi], waits)
+    orders = {}
+    n = len(events)
+    hi = 0
+    for t in sorted(late):
+        # late picoseconds often come one per period: gallop forward, then bisect
+        step = 1
+        while hi + step < n and events[hi + step][0] < t:
+            step *= 2
+        lo = hi = bisect_left(events, (t,), hi + step // 2, min(n, hi + step))
+        while hi < n and events[hi][0] == t:
+            hi += 1
+        group = events[lo:hi]
+        k0 = group[0][2]
+        shape = tuple([(key, k - k0) for _, key, k in group])
+        if shape not in orders:
+            orders[shape] = _min_key_topological(shape, givers)
+        events[lo:hi] = [group[e] for e in orders[shape]]
     # key 2*i is task i's completion and 2*i + 1 its start
     label = [f",{t.name},{kind}," for t in dfg.tasks for kind in ("complete", "start")]
     with open(path, "w") as f:
         f.write("time_ps,task,kind,iteration\n")
-        f.write("".join([f"{t}{label[key]}{k}\n" for t, key, k in events]))
+        for lo in range(0, n, TRACE_CHUNK):
+            chunk = events[lo : lo + TRACE_CHUNK]
+            f.write("".join([f"{t}{label[key]}{k}\n" for t, key, k in chunk]))
 
 
-def _min_key_topological(group, waits):
-    """Order one picosecond's events: the smallest key among those not waiting."""
-    by_key = {e[1]: e for e in group}
-    blocked = {}
-    dependents = {}
-    for t, key, k in group:
-        if key & 1:
-            ws = waits(t, key, k)
-            blocked[key] = len(ws)
-            for w in ws:
-                dependents.setdefault(w, []).append(key)
-    ready = [key for key in by_key if not blocked.get(key)]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        key = heapq.heappop(ready)
-        out.append(by_key[key])
-        for d in dependents.get(key, ()):
-            blocked[d] -= 1
-            if not blocked[d]:
-                heapq.heappush(ready, d)
-    return out
+def _min_key_topological(shape, givers):
+    """Positions of a picosecond's (key, iteration offset) events in run order."""
+    pending = list(shape)
+    order = []
+    while pending:
+        e = next(
+            e for e in pending if all((g, e[1] - lag) not in pending for g, lag in givers[e[0]])
+        )
+        pending.remove(e)
+        order.append(shape.index(e))
+    return order

@@ -483,6 +483,30 @@ def test_report_prints_a_step_beyond_float_range(capsys, tmp_path, step, shown):
     assert stdout.endswith(f"sweep rows: 1 (165..330 MHz step {shown})\n")
 
 
+def test_sweep_prints_clocks_below_float_range(capsys):
+    code, stdout, _ = run(capsys, "sweep", CONV, "--f-lo", "1e-400", "--f-hi", "3e-400",
+                          "--step", "1e-400")
+    assert code == EXIT_OK
+    assert [row.split(",")[0] for row in stdout.splitlines()[1:]] == [
+        "1e-400", "2e-400", "3e-400"
+    ]
+
+
+def test_dsp_percentage_beyond_float_range(capsys, tmp_path):
+    graph = json.loads(Path(CONV).read_text())
+    next(t for t in graph["tasks"] if t["name"] == "Filter2D")["n_op_dsp"] = 10**330
+    huge = tmp_path / "huge-dsp.json"
+    huge.write_text(json.dumps(graph))
+    code, stdout, _ = run(capsys, "sweep", str(huge), "--f-lo", "165", "--f-hi", "165",
+                          "--step", "5")
+    assert code == EXIT_OK
+    # 100 * 10^330 / 360 DSPs, to two decimals
+    assert stdout.splitlines()[1].split(",")[4] == "2" + "7" * 329 + ".78"
+    code, _, _ = run(capsys, "report", str(huge), "--f-base", "165", "--out",
+                     str(tmp_path / "bundle"), "--iterations", "2000")
+    assert code == EXIT_OK
+
+
 def test_non_finite_input_exits_two_without_traceback(tmp_path):
     graph = json.loads(Path(CONV).read_text())
     graph["tasks"][0]["f_max_mhz"] = "@"

@@ -119,8 +119,10 @@ def test_numbers_beyond_float_range_round_trip_and_format():
     assert _fmt_g(Fraction(10**400)) == "1e+400"
     assert _fmt_g(Fraction(-7 * 10**500, 9)) == "-7.77778e+499"
     assert _fmt_g(Fraction(2**1024)) == "1.79769e+308"
+    # a nonzero value below the normal floats does not underflow to 0
+    assert _fmt_g(Fraction(1, 10**400)) == "1e-400"
     # within float range it is exactly the :g format of the float
-    for x in (Fraction(1000, 3), Fraction(10**300), Fraction(1, 10**400), 165, 0.1):
+    for x in (Fraction(1000, 3), Fraction(10**300), 165, 0.1, 0):
         assert _fmt_g(x) == f"{float(x):g}"
 
 

@@ -435,6 +435,13 @@ INPUT_CHECKS = {
         ParseError,
         "tasks[0].ddg.deps[0]: expected an object",
     ),
+    "dep field": (
+        lambda tmp: dfg_from_dict(
+            _graph({"ddg": {"ops": [OP], "deps": [{"from": "a", "to": "a"}]}})
+        ),
+        ParseError,
+        "tasks[0].ddg.deps[0].dist: missing required field",
+    ),
     "characterization file": (
         lambda tmp: _characterization(tmp, []),
         ParseError,

@@ -358,6 +358,17 @@ def test_memory_independent_of_iterations():
     assert peaks[1] <= 2 * peaks[0]
 
 
+def test_trace_is_written_in_bounded_chunks(tmp_path):
+    # a traced run keeps its events, but not their lines as well
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    trace = tmp_path / "trace.csv"
+    tracemalloc.start()
+    simulate(dfg, make_plan(dfg, 165, "base"), SimConfig(20000, 100), trace_path=trace)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 7 * trace.stat().st_size
+
+
 # --- periodic-regime jump ----------------------------------------------------
 
 
