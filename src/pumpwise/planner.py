@@ -6,17 +6,21 @@ clipped by the external memory bandwidth.  Pumping a task scales clock
 and II together by the same factor, which preserves its throughput while
 letting binding share each functional unit among that many operations.
 
-Three strategies are modeled:
+A strategy is one rule per task, ``_RULES``: from whether the task has
+DSP operations, its own largest factor m and the largest shared factor
+s, the rule gives the task's II factor and clock factor over the base
+clock f_base.  The plan runs the task at II = II factor · II_min(f_base)
+and f = clock factor · f_base.
 
-* ``base``    - every task at the base clock, minimum II.
-* ``s-pump``  - one shared clock raised by a uniform factor; DSP tasks
-  scale their II by the same factor.  The factor is capped by the
-  slowest task's f_max because the clock is global.
-* ``m-pump``  - per-task clocks: each DSP task takes the largest factor
-  its own f_max (and operation count) allows.
+* ``base``    - (1, 1): every task at the base clock, minimum II.
+* ``s-pump``  - (s, s) on DSP tasks and (1, s) elsewhere: one shared
+  clock, capped by the slowest task's f_max because it is global.
+* ``m-pump``  - (m, m): per-task clocks, each task at the largest factor
+  its own f_max and DSP operation count allow (1 without DSP operations).
 
-Planning arithmetic is exact over rationals so sweeps and reports are
-reproducible bit for bit.
+``make_plan`` builds a plan by reading the rules, and ``check_plan``
+checks one against them.  Planning arithmetic is exact over rationals so
+sweeps and reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ from .codec import num_from_json, num_to_json, save_json
 from .dfg import Dfg
 from .errors import InfeasibleError, ParseError, ValidationError
 
-STRATEGIES = ("base", "s-pump", "m-pump")
+# (has DSP operations, own largest factor m, largest shared factor s)
+# -> (II factor, clock factor); make_plan and check_plan both read it
+_RULES = {
+    "base": lambda dsp, m, s: (1, 1),
+    "s-pump": lambda dsp, m, s: (s if dsp else 1, s),
+    "m-pump": lambda dsp, m, s: (m, m),
+}
+STRATEGIES = tuple(_RULES)
 
 
 class TaskPlan(_Record):
@@ -134,8 +145,9 @@ def _make_plans(
 ) -> dict[str, PumpPlan]:
     """``make_plan`` for several strategies at one base clock.
 
-    Every strategy starts from the same minimum IIs at the base clock, so
-    each task's is computed once, however many plans are built.
+    Every rule reads the same facts at the base clock: each task's
+    minimum II and largest factor, and the shared factor.  They are
+    computed once, however many plans are built.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -149,63 +161,46 @@ def _make_plans(
                 f"base clock infeasible: task {t.name} meets timing only up to "
                 f"{_fmt_g(t.f_max_mhz)} MHz"
             )
-    ii0 = {t.name: t.ii_min_at(f_base) for t in dfg.tasks}
-    return {s: _build_plan(dfg, f_base, s, ii0) for s in strategies}
-
-
-def _build_plan(dfg: Dfg, f_base: Fraction, strategy: str, ii0: Mapping[str, int]) -> PumpPlan:
-    """The plan of one strategy from each task's minimum II at ``f_base``."""
-    entries: dict[str, TaskPlan] = {}
-    if strategy == "base":
-        for t in dfg.tasks:
-            entries[t.name] = TaskPlan(1, f_base, ii0[t.name])
-    elif strategy == "m-pump":
-        for t in dfg.tasks:
-            m = max_pump_factor(t.f_max_mhz, f_base, t.n_op_dsp)
-            entries[t.name] = TaskPlan(m, m * f_base, m * ii0[t.name])
-    else:
-        s = max_single_pump_factor(dfg, f_base)
-        for t in dfg.tasks:
-            if t.n_op_dsp > 0:
-                entries[t.name] = TaskPlan(s, s * f_base, s * ii0[t.name])
-            else:
-                entries[t.name] = TaskPlan(1, s * f_base, ii0[t.name])
-    return PumpPlan(strategy, entries, f_base)
+    s = max_single_pump_factor(dfg, f_base)
+    facts = [(t.name, t.n_op_dsp > 0, max_pump_factor(t.f_max_mhz, f_base, t.n_op_dsp),
+              t.ii_min_at(f_base)) for t in dfg.tasks]
+    plans = {}
+    for strategy in strategies:
+        rule = _RULES[strategy]
+        entries = {}
+        for name, dsp, m, ii0 in facts:
+            k, c = rule(dsp, m, s)
+            entries[name] = TaskPlan(k, c * f_base, k * ii0)
+        plans[strategy] = PumpPlan(strategy, entries, f_base)
+    return plans
 
 
 def check_plan(dfg: Dfg, plan: PumpPlan) -> None:
-    """Reject a plan that breaks the pumping identities of its strategy.
+    """Reject a plan that breaks the rule of its strategy.
 
-    Beyond ``check_plan_coverage``: every task has II = m·II_min(f_base);
-    under ``base`` and ``m-pump`` its clock is m·f_base; under ``s-pump``
-    every task runs at one shared clock s·f_base, with m = s on DSP tasks
-    and m = 1 elsewhere.  A factor below the largest one is legal.
+    Beyond ``check_plan_coverage``: every task's clock is a whole multiple
+    of f_base; its (m, clock factor) is what its strategy's rule gives
+    from the plan's own factors, the task's m and the first task's clock
+    factor as the shared s; and its II is m·II_min(f_base).  A factor
+    below the largest one is legal.
     """
     check_plan_coverage(dfg, plan)
+    rule = _RULES[plan.strategy]
     f_base = plan.kernel_base_clock_mhz
-    shared = plan.tasks[dfg.tasks[0].name].f_mhz
-    s = shared / f_base
+    s = plan.tasks[dfg.tasks[0].name].f_mhz / f_base
     for t in dfg.tasks:
         e = plan.tasks[t.name]
-        if plan.strategy != "s-pump":
-            if e.f_mhz != e.m * f_base:
-                raise ValidationError(
-                    f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not "
-                    f"m * f_base = {num_to_json(e.m * f_base)} MHz"
-                )
-        elif s.denominator != 1:
+        c = e.f_mhz / f_base
+        if c.denominator != 1:
             raise ValidationError(
-                f"task {t.name}: f_mhz {num_to_json(shared)} MHz is not a whole multiple "
+                f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not a whole multiple "
                 f"of f_base {num_to_json(f_base)} MHz"
             )
-        elif e.f_mhz != shared:
+        want_m, want_c = rule(t.n_op_dsp > 0, e.m, s)
+        if (e.m, c) != (want_m, want_c):
             raise ValidationError(
-                f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not the shared "
-                f"s-pump clock {num_to_json(shared)} MHz"
-            )
-        elif e.m != (s if t.n_op_dsp > 0 else 1):
-            raise ValidationError(
-                f"task {t.name}: m {e.m} is not {s if t.n_op_dsp > 0 else 1} under s-pump"
+                f"task {t.name}: m {e.m} at {num_to_json(e.f_mhz)} MHz breaks the {plan.strategy} "
+                f"rule, which gives m {want_m} at {num_to_json(want_c * f_base)} MHz"
             )
         ii0 = t.ii_min_at(f_base)
         if e.ii != e.m * ii0:

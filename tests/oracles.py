@@ -108,6 +108,40 @@ def oracle_toposort(nodes, edges) -> tuple[list | None, list | None]:
         return None, cycle[k:] + cycle[:k]
 
 
+# --- plans -----------------------------------------------------------------
+
+
+def oracle_plan_ok(dfg: Dfg, plan: PumpPlan) -> bool:
+    """Whether a plan keeps the pumping identities README states for its strategy.
+
+    Every task is planned, no other is, and each runs at or below its
+    f_max with II = m·II_min(f_base).  ``base`` runs every task at m = 1
+    and f_base; ``m-pump`` runs each at m·f_base; ``s-pump`` runs all at
+    one clock s·f_base for a whole s >= 1, with m = s on DSP tasks and
+    m = 1 elsewhere.
+    """
+    f_base = plan.kernel_base_clock_mhz
+    if set(plan.tasks) != {t.name for t in dfg.tasks}:
+        return False
+    clocks = {e.f_mhz for e in plan.tasks.values()}
+    shared = clocks.pop() / f_base if len(clocks) == 1 else None
+    for t in dfg.tasks:
+        e = plan.tasks[t.name]
+        ii_min = t.ii_min_base if t.ddg is None else oracle_min_ii(t.ddg, f_base)
+        if e.f_mhz > t.f_max_mhz or e.ii != e.m * ii_min:
+            return False
+        if plan.strategy == "base":
+            ok = e.m == 1 and e.f_mhz == f_base
+        elif plan.strategy == "m-pump":
+            ok = e.f_mhz == e.m * f_base
+        else:
+            ok = (shared is not None and shared.denominator == 1 and shared >= 1
+                  and e.m == (shared if t.n_op_dsp > 0 else 1))
+        if not ok:
+            return False
+    return True
+
+
 # --- simulator -------------------------------------------------------------
 
 PS_PER_MICROSECOND = 10**6

@@ -20,6 +20,7 @@ from pumpwise import (
     datasets,
     default_warmup,
     fu_count,
+    graph_throughput,
     load_dfg,
     make_plan,
     max_pump_factor,
@@ -317,4 +318,26 @@ def test_criterion_9_determinism(tmp_path, capsys):
         9,
         "CLI commands byte-identical across runs; SimReports identical",
         bool(ok),
+    )
+
+
+def test_criterion_10_headline_1_fewer_dsps_at_equal_throughput():
+    # optical at its slowest f_max, 310 MHz, is memory bound at 175 msps;
+    # m-pump reaches the same 175 msps from a lower base clock, with its
+    # four DSP tasks at m = 2 (illustrative op counts: a model finding)
+    dfg = load_dfg(datasets.path("optical.json"))
+    base = make_plan(dfg, dfg.min_f_max_mhz, "base")
+    points = {(310, "base"): (bind(dfg, base).total_dsp, graph_throughput(dfg, base))}
+    for f in (175, 200, 225):
+        plan = make_plan(dfg, f, "m-pump")
+        points[(f, "m-pump")] = (bind(dfg, plan).total_dsp, graph_throughput(dfg, plan))
+    want = {(310, "base"): (188, 175)}
+    want.update({(f, "m-pump"): (96, 175) for f in (175, 200, 225)})
+    saving = 1 - Fraction(96, 188)
+    _verdict(
+        10,
+        "optical m-pump at 175-225 MHz binds 96 DSPs at 175 msps, base at 310 MHz 188 "
+        f"({float(saving) * 100:.1f} % fewer)",
+        points == want and dfg.min_f_max_mhz == 310,
+        f"points={points}",
     )

@@ -177,8 +177,44 @@ def test_simulate_rejects_a_plan_that_breaks_the_pumping_identities(capsys, tmp_
     data["tasks"]["Filter2D"] = {"m": 2, "f_mhz": 450, "ii": 1}
     plan.write_text(json.dumps(data))
     assert run(capsys, "simulate", CONV, str(plan)) == (
-        EXIT_INVALID, "", "error: task Filter2D: f_mhz 450 MHz is not m * f_base = 500 MHz\n"
+        EXIT_INVALID, "",
+        "error: task Filter2D: f_mhz 450 MHz is not a whole multiple of f_base 250 MHz\n",
     )
+
+
+def test_simulate_rejects_a_base_plan_with_a_pumped_task(capsys, tmp_path):
+    # conv2d's base plan at 165 MHz with Filter2D hand-edited to m = 3:
+    # f = m * f_base and ii = m * ii_min hold, but base pumps no task
+    plan = tmp_path / "b.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",
+               "--out", str(plan))[0] == EXIT_OK
+    data = json.loads(plan.read_text())
+    data["tasks"]["Filter2D"] = {"m": 3, "f_mhz": 495, "ii": 3}
+    plan.write_text(json.dumps(data))
+    assert run(capsys, "simulate", CONV, str(plan)) == (
+        EXIT_INVALID, "",
+        "error: task Filter2D: m 3 at 495 MHz breaks the base rule, which gives m 1 at 165 MHz\n",
+    )
+
+
+def test_optimize_names_a_throughput_it_changed(capsys, tmp_path):
+    # s-pump raises the clock of non-DSP tasks without raising their II, so
+    # when one of them is the bottleneck the plan is faster than base
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "tasks": [{"name": name, "f_max_mhz": f_max, "ii_min_base": 1, "pipeline_depth": 1}
+                  for name, f_max in (("A", 400), ("B", 420))],
+        "channels": [{"from": "A", "to": "B"}],
+        "device_dsp_total": 8,
+    }))
+    code, out, _ = run(capsys, "optimize", str(graph), "--f-base", "100",
+                       "--strategy", "s-pump", "--out", str(tmp_path / "s.plan"))
+    assert code == EXIT_OK
+    assert "kernel clock: 400 MHz\nDSP 0 -> 0, throughput 100 -> 400 msps\n" in out
+    code, out, _ = run(capsys, "optimize", str(graph), "--f-base", "100",
+                       "--strategy", "m-pump", "--out", str(tmp_path / "m.plan"))
+    assert code == EXIT_OK
+    assert "DSP 0 -> 0, throughput 100 msps preserved\n" in out
 
 
 def test_huge_base_clock_is_infeasible_without_traceback(capsys):

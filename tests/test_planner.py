@@ -29,7 +29,8 @@ from pumpwise import (
     sweep,
     task_throughput,
 )
-from pumpwise.planner import plan_from_dict
+from pumpwise.planner import STRATEGIES, plan_from_dict
+from oracles import oracle_plan_ok
 from conftest import feasible_f_base, random_ddg, random_pipeline_dfg
 
 
@@ -319,14 +320,21 @@ def test_check_plan_rejects_broken_pumping_identities():
     spump = make_plan(dfg, 165, "s-pump")
     cases = [
         (_edit(mpump, "Filter2D", f_mhz=450, ii=1),
-         "task Filter2D: f_mhz 450 MHz is not m * f_base = 500 MHz"),
+         "task Filter2D: f_mhz 450 MHz is not a whole multiple of f_base 250 MHz"),
+        (_edit(make_plan(dfg, 165, "m-pump"), "Filter2D", f_mhz=330),
+         "task Filter2D: m 3 at 330 MHz breaks the m-pump rule, which gives m 3 at 495 MHz"),
         (_edit(mpump, "Filter2D", ii=1), "task Filter2D: ii 1 is not m * ii_min = 2"),
         (_edit(make_plan(dfg, 250, "base"), "Window2D", m=2),
-         "task Window2D: f_mhz 250 MHz is not m * f_base = 500 MHz"),
+         "task Window2D: m 2 at 250 MHz breaks the base rule, which gives m 1 at 250 MHz"),
+        # a base plan with a pumped task that keeps f = m * f_base and ii = m * ii_min
+        (_edit(make_plan(dfg, 165, "base"), "Filter2D", m=3, f_mhz=495, ii=3),
+         "task Filter2D: m 3 at 495 MHz breaks the base rule, which gives m 1 at 165 MHz"),
+        (mpump.replace(strategy="base"),
+         "task Filter2D: m 2 at 500 MHz breaks the base rule, which gives m 1 at 250 MHz"),
         (_edit(spump, "WriteToMem", f_mhz=165),
-         "task WriteToMem: f_mhz 165 MHz is not the shared s-pump clock 330 MHz"),
+         "task WriteToMem: m 1 at 165 MHz breaks the s-pump rule, which gives m 1 at 330 MHz"),
         (_edit(spump, "ReadFromMem", m=2, ii=2),
-         "task ReadFromMem: m 2 is not 1 under s-pump"),
+         "task ReadFromMem: m 2 at 330 MHz breaks the s-pump rule, which gives m 1 at 330 MHz"),
         (spump.replace(kernel_base_clock_mhz=200),
          "task ReadFromMem: f_mhz 330 MHz is not a whole multiple of f_base 200 MHz"),
     ]
@@ -351,6 +359,63 @@ def test_check_plan_allows_a_factor_below_the_largest():
         name: e.replace(m=2 if e.m == 3 else 1, f_mhz=220, ii=2 if e.m == 3 else 1)
         for name, e in plan.tasks.items()
     }))
+
+
+def _perturbed_plans(plan, dfg):
+    """The plan, relabelled, re-clocked, and with one task's m, f or II changed."""
+    f_base = plan.kernel_base_clock_mhz
+    yield plan
+    for strategy in STRATEGIES:
+        yield plan.replace(strategy=strategy)
+    for k in (f_base / 2, 2 * f_base, f_base + 1):
+        yield plan.replace(kernel_base_clock_mhz=k)
+    # every task at one shared factor c, s-pump style
+    for c in (1, 2):
+        tasks = {}
+        for t in dfg.tasks:
+            e = plan.tasks[t.name]
+            m = c if t.n_op_dsp else 1
+            tasks[t.name] = TaskPlan(m, c * f_base, m * (e.ii // e.m))
+        yield plan.replace(tasks=tasks)
+    for name, e in plan.tasks.items():
+        ii0 = e.ii // e.m
+        changes = [{"m": e.m - 1}, {"m": e.m + 1}, {"m": 2 * e.m},
+                   {"f_mhz": e.f_mhz + f_base}, {"f_mhz": e.f_mhz - f_base},
+                   {"f_mhz": e.f_mhz / 2}, {"f_mhz": f_base},
+                   {"ii": e.ii - 1}, {"ii": e.ii + 1}, {"ii": 2 * e.ii}]
+        # another factor, with clock and II kept in step
+        changes += [{"m": m, "f_mhz": m * f_base, "ii": m * ii0} for m in (1, 2, e.m + 1)]
+        for change in changes:
+            try:
+                yield _edit(plan, name, **change)
+            except ValidationError:  # not a TaskPlan at all: m, ii or f out of range
+                pass
+
+
+def test_check_plan_agrees_with_the_oracle_on_perturbed_plans():
+    rng = random.Random(0x5EED)
+    cases = []
+    for _ in range(30):
+        dfg = random_pipeline_dfg(rng)
+        cases.append((dfg, [feasible_f_base(rng, dfg)]))
+    for name in datasets.names():
+        dfg = load_dfg(datasets.path(name))
+        cases.append((dfg, [Fraction(100), Fraction(1000, 7), dfg.min_f_max_mhz]))
+    verdicts = {True: 0, False: 0}
+    for dfg, clocks in cases:
+        for f in clocks:
+            for strategy in STRATEGIES:
+                for plan in _perturbed_plans(make_plan(dfg, f, strategy), dfg):
+                    legal = oracle_plan_ok(dfg, plan)
+                    try:
+                        check_plan(dfg, plan)
+                        accepted = True
+                    except ValidationError:
+                        accepted = False
+                    assert accepted == legal, (plan, legal)
+                    verdicts[legal] += 1
+    # both verdicts are common, so neither side passes by always agreeing
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def test_plan_file_validation(tmp_path):
