@@ -43,15 +43,16 @@ of L, the lcm of all periods, changes no edge rounding and no tie key.
 The search shifts the state after each iteration down by such a
 multiple and compares it with one saved checkpoint (Brent's cycle
 finding), so it needs O(state) memory.  A repeat between iterations k
-and k + c gives T as the difference of the two shifts, and adding j*T to
-every state value then jumps j*c iterations exactly: first up to the
-warmup boundary, where the measurement window opens, then up to
-``iterations``.  The iterations left over run normally; FIFO peaks
-cannot rise once the state repeats.  No repeat can occur before task 0
-starts at or after L, and the search gives up after
-``REPEAT_SEARCH_ITERATIONS`` iterations, so runs without a repeat (mostly
-multi-clock plans whose rounded periods have a huge lcm) cost what the
-plain loop costs.  A skipped period's trace is the last one's, shifted.
+and k + c gives T as the difference of the two shifts, and the
+simulation stops there: the sinks' latest start after any later
+iteration is the one at the same place in the period, plus one T per
+whole period, so both ends of the measurement window follow from (c, T)
+after fewer than c more iterations.  FIFO peaks cannot rise once the
+state repeats.  No repeat can occur before task 0 starts at or after L,
+and the search gives up after ``REPEAT_SEARCH_ITERATIONS`` iterations,
+so runs without a repeat (mostly multi-clock plans whose rounded periods
+have a huge lcm) cost what the plain loop costs.  A trace's later starts
+are the last period's starts, shifted by T per period.
 """
 
 from __future__ import annotations
@@ -251,31 +252,26 @@ def simulate(
             ck_done, ck_base, ck_state = done, base, shifted(base)
             power *= 2
 
-    def jump(target):
-        """Skip whole periods of the repeat, up to iteration ``target``."""
-        nonlocal done
-        j = (target - done) // c
-        shift = j * T
-        for i in range(ntasks):
-            last[i] += shift
-        for q in free:
-            for n in range(len(q)):
-                q[n] += shift
-        if history is not None:  # each skipped period repeats the last one's starts
-            for h in history:
-                h.extend([x + s * T for s in range(1, j + 1) for x in h[-c:]])
-        done += j * c
-
-    if c:
-        if done < warmup:
-            # stop short of the boundary, so that ``run`` opens the window
-            jump(warmup - 1)
-            run(warmup - done)
-        jump(iterations)
-    run(iterations - done)
-
     # the graph's k-th iteration is done when its last sink consumes it
-    window_end = max(last[i] for i in sinks)
+    if c:
+        # from d0 on, the state after k + c is the state after k shifted by
+        # T, so the sinks' latest start after an iteration k >= d0 is the one
+        # after d0 + (k - d0) % c, plus (k - d0) // c times T
+        d0 = done
+        ends = [max(last[i] for i in sinks)]
+        for _ in range(max((k - d0) % c for k in (warmup, iterations) if k >= d0)):
+            run(1)
+            ends.append(max(last[i] for i in sinks))
+        if warmup > d0:
+            window_start = ends[(warmup - d0) % c] + (warmup - d0) // c * T
+        window_end = ends[(iterations - d0) % c] + (iterations - d0) // c * T
+        if history is not None:  # later periods repeat the last one's starts
+            for h in history:
+                tail = h[-c:]
+                h.extend([tail[k % c] + (k // c + 1) * T for k in range(iterations - len(h))])
+    else:
+        run(iterations - done)
+        window_end = max(last[i] for i in sinks)
     if window_end == window_start:
         raise SimulationError("measurement window has zero length")
     throughput = Fraction(

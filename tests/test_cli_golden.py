@@ -10,6 +10,10 @@ refactor that keeps behaviour keeps every digest.
 To regenerate the digests after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+With ``--check`` the script compares instead of writing: it exits 1 and
+names each command whose digests differ.  It needs no pytest, so it
+checks the matrix under every supported Python version.
 """
 
 import hashlib
@@ -102,7 +106,17 @@ def test_cli_matrix_matches_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_matrix(Path(tmp))
+    if sys.argv[1:] == ["--check"]:
+        golden = json.loads(GOLDEN.read_text())
+        differ = sorted(cmd for cmd in golden.keys() | digests.keys()
+                        if golden.get(cmd) != digests.get(cmd))
+        for cmd in differ:
+            print(f"differs: {cmd}", file=sys.stderr)
+        print(f"{len(golden)} commands checked, {len(differ)} differ", file=sys.stderr)
+        sys.exit(1 if differ else 0)
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
     print(f"{len(digests)} commands written to {GOLDEN}", file=sys.stderr)

@@ -369,7 +369,38 @@ def test_trace_is_written_in_bounded_chunks(tmp_path):
     assert peak <= 7 * trace.stat().st_size
 
 
-# --- periodic-regime jump ----------------------------------------------------
+# --- periodic regime -----------------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``simulate`` with ``counted.computed``, the iterations each call computed."""
+    advance = sim._advance
+
+    def counting(steps, n, *args):
+        run.computed[-1] += n
+        advance(steps, n, *args)
+
+    def run(dfg, plan, cfg, trace=None):
+        run.computed.append(0)
+        return simulate(dfg, plan, cfg, trace_path=trace)
+
+    run.computed = []
+    monkeypatch.setattr(sim, "_advance", counting)
+    return run
+
+
+def assert_matches_full_loop(counted, dfg, plan, cfg, tmp_path, monkeypatch):
+    # with no search budget no repeat is found, so every iteration is
+    # computed: the reference for the repeat, traced and untraced
+    full_trace, repeat_trace = tmp_path / "full.csv", tmp_path / "repeat.csv"
+    with monkeypatch.context() as m:
+        m.setattr(sim, "REPEAT_SEARCH_ITERATIONS", 0)
+        full = counted(dfg, plan, cfg, full_trace)
+    assert counted.computed[-1] == cfg.iterations
+    assert counted(dfg, plan, cfg) == full, (plan.strategy, cfg)
+    assert counted(dfg, plan, cfg, repeat_trace) == full, (plan.strategy, cfg)
+    assert repeat_trace.read_bytes() == full_trace.read_bytes(), (plan.strategy, cfg)
 
 
 @pytest.mark.parametrize(
@@ -384,42 +415,62 @@ def test_trace_is_written_in_bounded_chunks(tmp_path):
         (2500, 2499),
     ],
 )
-def test_jump_matches_full_loop(iterations, warmup, tmp_path, monkeypatch):
-    # with no search budget no repeat is found, so every iteration is
-    # computed: the reference for the jump, traced and untraced
-    computed = []
-    advance = sim._advance
-
-    def counting(steps, n, *args):
-        computed[-1] += n
-        advance(steps, n, *args)
-
-    def run(dfg, plan, cfg, trace=None):
-        computed.append(0)
-        return simulate(dfg, plan, cfg, trace_path=trace)
-
-    monkeypatch.setattr(sim, "_advance", counting)
-    full_trace = tmp_path / "full.csv"
-    jump_trace = tmp_path / "jump.csv"
+def test_repeat_matches_full_loop(iterations, warmup, tmp_path, monkeypatch, counted):
     rng = random.Random(iterations * 10007 + warmup)
     for _ in range(3):
         dfg, f_base = random_shallow_dfg(rng)
         for strategy in ("base", "s-pump", "m-pump"):
             plan = make_plan(dfg, f_base, strategy)
-            cfg = SimConfig(iterations, warmup)
-            with monkeypatch.context() as m:
-                m.setattr(sim, "REPEAT_SEARCH_ITERATIONS", 0)
-                full = run(dfg, plan, cfg, full_trace)
-            assert computed[-1] == iterations
-            assert run(dfg, plan, cfg) == full, (strategy, cfg)
-            assert run(dfg, plan, cfg, jump_trace) == full, (strategy, cfg)
-            assert jump_trace.read_bytes() == full_trace.read_bytes(), (strategy, cfg)
+            assert_matches_full_loop(counted, dfg, plan, SimConfig(iterations, warmup),
+                                     tmp_path, monkeypatch)
     # the corpus has single-clock plans, which repeat within a few iterations
-    assert min(computed[1::3]) < iterations // 10
-    assert min(computed[2::3]) < iterations // 10
+    assert min(counted.computed[1::3]) < iterations // 10
+    assert min(counted.computed[2::3]) < iterations // 10
 
 
-def test_jump_reaches_a_billion_iterations():
+def find_repeat(counted, dfg, plan):
+    """(d0, c) if ``simulate`` finds after iteration d0 a repeat of c < 8 iterations.
+
+    With no warmup it then computes (iterations - d0) % c more iterations,
+    so over 8 consecutive lengths past the search budget the counts run
+    through d0 .. d0 + c - 1.
+    """
+    counts = set()
+    for x in range(8):
+        counted(dfg, plan, SimConfig(2 * BUDGET + x))
+        counts.add(counted.computed[-1])
+    if max(counts) < BUDGET and len(counts) < 8:
+        return min(counts), len(counts)
+    return None
+
+
+def test_repeat_window_ends_anywhere_in_the_period(tmp_path, monkeypatch, counted):
+    # plans that repeat every c >= 2 iterations, with the ends of the window
+    # at other places in the period than the iteration where the repeat is found
+    rng = random.Random(2020)
+    periodic = 0
+    for _ in range(40):
+        dfg, f_base = random_shallow_dfg(rng)
+        for strategy in ("base", "s-pump", "m-pump"):
+            plan = make_plan(dfg, f_base, strategy)
+            d0, c = find_repeat(counted, dfg, plan) or (0, 1)
+            if c < 2:
+                continue
+            periodic += 1
+            for iterations, warmup in [
+                (d0 + 10 * c, d0 + 3 * c + 1),  # warmup - d0 not a multiple of c
+                (d0 + 3 * c + 1, d0 - 1),  # the repeat found after warmup
+                (d0 + c - 1, 0),  # iterations fewer than c past the repeat
+                (d0, d0 - 1),  # iterations at the repeat
+            ]:
+                cfg = SimConfig(iterations, warmup)
+                assert_matches_full_loop(counted, dfg, plan, cfg, tmp_path, monkeypatch)
+                # past the repeat, fewer than c more iterations are computed
+                assert counted.computed[-1] < d0 + c
+    assert periodic >= 5
+
+
+def test_repeat_reaches_a_billion_iterations():
     dfg = load_dfg(datasets.path("conv2d.json"))
     plan = make_plan(dfg, 165, "base")
     rate = min(e.f_mhz / e.ii for e in plan.tasks.values())
