@@ -45,7 +45,7 @@ class BindingResult(_Record):
 
 def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
     """Functional-unit counts and DSP totals for every task under a plan."""
-    check_plan_coverage(dfg, plan)
+    _check_coverage(dfg, plan)
     per_task = {}
     total = 0
     for t in dfg.tasks:
@@ -61,7 +61,8 @@ def bind(dfg: Dfg, plan: "PumpPlan") -> BindingResult:
     return BindingResult(per_task, total, pct)
 
 
-def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
+# check_plan's first step, and the whole check of bind and the others that take any plan
+def _check_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
     """Reject a plan that misses a task, names an unknown one or clocks one above f_max."""
     planned = plan.tasks
     # task names are unique, so equal sizes and every task planned mean equal sets
@@ -73,11 +74,10 @@ def check_plan_coverage(dfg: Dfg, plan: "PumpPlan") -> None:
         extra = sorted(set(planned) - names)
         raise ValidationError(f"plan names unknown task: {extra[0]}")
     for t in dfg.tasks:
-        f = planned[t.name].f_mhz
-        f_max = t.f_max_mhz
-        # f > f_max over positive denominators, without building Fractions
-        if f.numerator * f_max.denominator > f_max.numerator * f.denominator:
+        fn, fd = planned[t.name].f_mhz.as_integer_ratio()
+        gn, gd = t.f_max_mhz.as_integer_ratio()
+        if fn * gd > gn * fd:  # f > f_max over positive denominators, without Fractions
             raise ValidationError(
-                f"task {t.name}: plan clock {_fmt_g(f)} MHz exceeds "
+                f"task {t.name}: plan clock {_fmt_g(planned[t.name].f_mhz)} MHz exceeds "
                 f"f_max {_fmt_g(t.f_max_mhz)} MHz"
             )

@@ -17,6 +17,8 @@ and f = clock factor · f_base.
   clock, capped by the slowest task's f_max because it is global.
 * ``m-pump``  - (m, m): per-task clocks, each task at the largest factor
   its own f_max and DSP operation count allow (1 without DSP operations).
+* ``custom``  - no rule: a hand-built plan runs each task at any clock up
+  to its f_max, with II >= II_min at that clock.  The planner never builds it.
 
 ``make_plan`` builds a plan by reading the rules, and ``check_plan``
 checks one against them.  Planning arithmetic is exact over rationals so
@@ -29,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .binding import bind, check_plan_coverage
+from .binding import _check_coverage, bind
 from .codec import Rational, _fmt_g, _Record, as_fraction, is_int, load_json
 from .codec import num_from_json, num_to_json, save_json
 from .dfg import Dfg
@@ -41,8 +43,9 @@ _RULES = {
     "base": lambda dsp, m, s: (1, 1),
     "s-pump": lambda dsp, m, s: (s if dsp else 1, s),
     "m-pump": lambda dsp, m, s: (m, m),
+    "custom": None,  # hand-built plans; the planner builds the others
 }
-STRATEGIES = tuple(_RULES)
+STRATEGIES = tuple(s for s, rule in _RULES.items() if rule)
 
 
 class TaskPlan(_Record):
@@ -70,7 +73,7 @@ class PumpPlan(_Record):
         self, strategy: str, tasks: Mapping[str, TaskPlan], kernel_base_clock_mhz: Rational
     ):
         kernel_base_clock_mhz = as_fraction(kernel_base_clock_mhz)
-        if strategy not in STRATEGIES:
+        if strategy not in _RULES:
             raise ValidationError(f"unknown strategy: {strategy}")
         if kernel_base_clock_mhz <= 0:
             raise ValidationError("kernel_base_clock_mhz must be positive")
@@ -87,7 +90,7 @@ def task_throughput(f_mhz: Rational, ii: int) -> Fraction:
 
 def compute_throughput(dfg: Dfg, plan: PumpPlan) -> Fraction:
     """Bottleneck compute throughput in msps, ignoring the memory bound."""
-    check_plan_coverage(dfg, plan)
+    _check_coverage(dfg, plan)
     return min(e.f_mhz / e.ii for e in plan.tasks.values())
 
 
@@ -178,26 +181,35 @@ def _make_plans(
 def check_plan(dfg: Dfg, plan: PumpPlan) -> None:
     """Reject a plan that breaks the rule of its strategy.
 
-    Beyond ``check_plan_coverage``: every task's clock is a whole multiple
-    of f_base; its (m, clock factor) is what its strategy's rule gives
-    from the plan's own factors, the task's m and the first task's clock
-    factor as the shared s; and its II is m·II_min(f_base).  A factor
-    below the largest one is legal.
+    Every task is planned, no other is, and each runs within its f_max.
+    A ``custom`` task's II is at least II_min at its own clock.  Under a
+    rule every clock is a whole multiple of f_base, each task's (m, clock
+    factor) is what the rule gives from its m and the first task's clock
+    factor s, and II = m·II_min(f_base); a smaller factor is legal.
     """
-    check_plan_coverage(dfg, plan)
+    _check_coverage(dfg, plan)
     rule = _RULES[plan.strategy]
     f_base = plan.kernel_base_clock_mhz
-    s = plan.tasks[dfg.tasks[0].name].f_mhz / f_base
+    bn, bd = f_base.as_integer_ratio()
+    f0n, f0d = plan.tasks[dfg.tasks[0].name].f_mhz.as_integer_ratio()
+    s = f0n * bd // (f0d * bn)  # the first task's clock factor is shared
     for t in dfg.tasks:
         e = plan.tasks[t.name]
-        c = e.f_mhz / f_base
-        if c.denominator != 1:
+        if rule is None:
+            ii0 = t.ii_min_at(e.f_mhz)
+            if e.ii < ii0:
+                raise ValidationError(f"task {t.name}: ii {e.ii} is below ii_min {ii0} "
+                                      f"at {num_to_json(e.f_mhz)} MHz")
+            continue
+        fn, fd = e.f_mhz.as_integer_ratio()
+        c, r = divmod(fn * bd, fd * bn)  # f / f_base, without building Fractions
+        if r:
             raise ValidationError(
                 f"task {t.name}: f_mhz {num_to_json(e.f_mhz)} MHz is not a whole multiple "
                 f"of f_base {num_to_json(f_base)} MHz"
             )
         want_m, want_c = rule(t.n_op_dsp > 0, e.m, s)
-        if (e.m, c) != (want_m, want_c):
+        if e.m != want_m or c != want_c:
             raise ValidationError(
                 f"task {t.name}: m {e.m} at {num_to_json(e.f_mhz)} MHz breaks the {plan.strategy} "
                 f"rule, which gives m {want_m} at {num_to_json(want_c * f_base)} MHz"
@@ -268,8 +280,8 @@ def plan_from_dict(data) -> PumpPlan:
     if not isinstance(data, dict):
         raise ParseError("plan: top level must be an object")
     strategy = data.get("strategy")
-    if strategy not in STRATEGIES:
-        raise ParseError(f"plan.strategy: expected one of {', '.join(STRATEGIES)}")
+    if strategy not in _RULES:
+        raise ParseError(f"plan.strategy: expected one of {', '.join(_RULES)}")
     base = num_from_json(data.get("kernel_base_clock_mhz"), "plan.kernel_base_clock_mhz")
     raw = data.get("tasks")
     if not isinstance(raw, dict) or not raw:

@@ -65,11 +65,11 @@ from math import lcm
 from pathlib import Path
 from typing import Union
 
-from .binding import check_plan_coverage
+from .binding import _check_coverage
 from .codec import _fmt_g, _Record, as_fraction, is_int
 from .dfg import Dfg
 from .errors import SimulationError, ValidationError
-from .planner import PumpPlan
+from .planner import PumpPlan, check_plan
 
 PS_PER_MICROSECOND = 10**6
 MAX_CLOCK_MHZ = 10**6  # 1 THz: faster clocks round to a zero-ps period
@@ -144,7 +144,7 @@ def _period_ps(f: Fraction) -> int:
 
 def default_warmup(dfg: Dfg, plan: PumpPlan) -> int:
     """Tokens to discard before measuring: covers the pipeline fill transient."""
-    check_plan_coverage(dfg, plan)
+    _check_coverage(dfg, plan)
     deepest = max(t.pipeline_depth_at(plan.tasks[t.name].f_mhz) for t in dfg.tasks)
     return max(100, 10 * deepest)
 
@@ -155,8 +155,8 @@ def simulate(
     cfg: SimConfig,
     trace_path: Union[str, Path, None] = None,
 ) -> SimReport:
-    """Run the dataflow graph under a plan and measure steady-state throughput."""
-    check_plan_coverage(dfg, plan)
+    """Check a plan as ``check_plan`` does, run it and measure steady-state throughput."""
+    check_plan(dfg, plan)
     iterations = cfg.iterations
     warmup = cfg.warmup
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Union
 
 from pumpwise import ChannelReport, Dfg, PumpPlan, SimConfig, ValidationError
-from pumpwise.binding import check_plan_coverage
 
 
 def quantized_latency(delay_ns, f_mhz) -> int:
@@ -111,26 +110,39 @@ def oracle_toposort(nodes, edges) -> tuple[list | None, list | None]:
 # --- plans -----------------------------------------------------------------
 
 
+def oracle_plan_covers(dfg: Dfg, plan: PumpPlan) -> bool:
+    """Every task is planned, no other is, and each runs at or below its f_max."""
+    return set(plan.tasks) == {t.name for t in dfg.tasks} and all(
+        plan.tasks[t.name].f_mhz <= t.f_max_mhz for t in dfg.tasks
+    )
+
+
+def _ii_min(t, f_mhz) -> int:
+    return t.ii_min_base if t.ddg is None else oracle_min_ii(t.ddg, f_mhz)
+
+
 def oracle_plan_ok(dfg: Dfg, plan: PumpPlan) -> bool:
     """Whether a plan keeps the pumping identities README states for its strategy.
 
-    Every task is planned, no other is, and each runs at or below its
-    f_max with II = m·II_min(f_base).  ``base`` runs every task at m = 1
+    The plan covers the graph within every f_max.  ``custom`` runs each
+    task at any such clock f with II >= II_min(f) and any m.  Every other
+    strategy has II = m·II_min(f_base): ``base`` runs every task at m = 1
     and f_base; ``m-pump`` runs each at m·f_base; ``s-pump`` runs all at
     one clock s·f_base for a whole s >= 1, with m = s on DSP tasks and
     m = 1 elsewhere.
     """
     f_base = plan.kernel_base_clock_mhz
-    if set(plan.tasks) != {t.name for t in dfg.tasks}:
+    if not oracle_plan_covers(dfg, plan):
         return False
     clocks = {e.f_mhz for e in plan.tasks.values()}
     shared = clocks.pop() / f_base if len(clocks) == 1 else None
     for t in dfg.tasks:
         e = plan.tasks[t.name]
-        ii_min = t.ii_min_base if t.ddg is None else oracle_min_ii(t.ddg, f_base)
-        if e.f_mhz > t.f_max_mhz or e.ii != e.m * ii_min:
-            return False
-        if plan.strategy == "base":
+        if plan.strategy == "custom":
+            ok = e.ii >= _ii_min(t, e.f_mhz)
+        elif e.ii != e.m * _ii_min(t, f_base):
+            ok = False
+        elif plan.strategy == "base":
             ok = e.m == 1 and e.f_mhz == f_base
         elif plan.strategy == "m-pump":
             ok = e.f_mhz == e.m * f_base
@@ -171,7 +183,8 @@ def oracle_simulate(
     token, no slot or an unexpired II is dropped, and the blocked task is
     woken by the event that unblocks it.
     """
-    check_plan_coverage(dfg, plan)
+    if not oracle_plan_covers(dfg, plan):
+        raise ValidationError("plan does not cover the graph within every f_max")
     iterations = cfg.iterations
     warmup = cfg.warmup
     if not isinstance(iterations, int) or iterations < 1:

@@ -191,10 +191,30 @@ def test_simulate_rejects_a_base_plan_with_a_pumped_task(capsys, tmp_path):
     data = json.loads(plan.read_text())
     data["tasks"]["Filter2D"] = {"m": 3, "f_mhz": 495, "ii": 3}
     plan.write_text(json.dumps(data))
-    assert run(capsys, "simulate", CONV, str(plan)) == (
+    expected = (
         EXIT_INVALID, "",
         "error: task Filter2D: m 3 at 495 MHz breaks the base rule, which gives m 1 at 165 MHz\n",
     )
+    assert run(capsys, "simulate", CONV, str(plan)) == expected
+    # the plan is rejected before a short window is warned about, whatever sets the warmup
+    assert run(capsys, "simulate", CONV, str(plan), "--iterations", "100") == expected
+    assert run(capsys, "simulate", CONV, str(plan), "--iterations", "100",
+               "--warmup", "90") == expected
+
+
+def test_simulate_accepts_a_hand_built_custom_plan(capsys, tmp_path):
+    # Filter2D at 200 MHz is no multiple of the 165 MHz base clock, which
+    # only the custom rule allows
+    plan = tmp_path / "c.plan"
+    assert run(capsys, "optimize", CONV, "--f-base", "165", "--strategy", "base",
+               "--out", str(plan))[0] == EXIT_OK
+    data = json.loads(plan.read_text())
+    data["strategy"] = "custom"
+    data["tasks"]["Filter2D"] = {"m": 1, "f_mhz": 200, "ii": 1}
+    plan.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", CONV, str(plan), "--iterations", "2000")
+    assert (code, err) == (EXIT_OK, "")
+    assert "analytic:   165 msps" in out
 
 
 def test_optimize_names_a_throughput_it_changed(capsys, tmp_path):

@@ -8,10 +8,14 @@ import pytest
 
 from pumpwise import (
     Channel,
+    Ddg,
+    Dep,
     Dfg,
     InfeasibleError,
+    Op,
     ParseError,
     PumpPlan,
+    SimConfig,
     Task,
     TaskPlan,
     ValidationError,
@@ -26,6 +30,7 @@ from pumpwise import (
     max_pump_factor,
     max_single_pump_factor,
     save_plan,
+    simulate,
     sweep,
     task_throughput,
 )
@@ -361,11 +366,43 @@ def test_check_plan_allows_a_factor_below_the_largest():
     }))
 
 
+def test_custom_plans_keep_ii_min_at_their_own_clocks(tmp_path):
+    # an 11 ns accumulator loop needs II 3 at 250 MHz, 5 at 375 MHz and 6 at 500 MHz
+    acc = Ddg([Op("acc", "add", 11.0)], [Dep("acc", "acc", 1)])
+    dfg = Dfg([Task(name="A", f_max_mhz=500, n_op_dsp=2, ddg=acc)], [], device_dsp_total=8)
+
+    def custom(f, ii, m=1):
+        return PumpPlan("custom", {"A": TaskPlan(m, f, ii)}, 250)
+
+    # any clock up to f_max and any factor, not only m * f_base
+    for plan in (custom(250, 3), custom(375, 5), custom(500, 6, m=2), custom(100, 9, m=5)):
+        check_plan(dfg, plan)
+        simulate(dfg, plan, SimConfig(2, 1))
+    cases = [
+        (custom(500, 3), "task A: ii 3 is below ii_min 6 at 500 MHz"),
+        (custom(375, 4, m=2), "task A: ii 4 is below ii_min 5 at 375 MHz"),
+        (custom(750, 9), "task A: plan clock 750 MHz exceeds f_max 500 MHz"),
+    ]
+    for plan, message in cases:
+        with pytest.raises(ValidationError) as e:
+            check_plan(dfg, plan)
+        assert str(e.value) == message
+    # a plan file keeps the label, and the planner never builds it
+    save_plan(custom(375, 5), tmp_path / "custom.plan")
+    assert load_plan(tmp_path / "custom.plan") == custom(375, 5)
+    assert STRATEGIES == ("base", "s-pump", "m-pump")
+    with pytest.raises(ValidationError):
+        make_plan(dfg, 250, "custom")
+
+
 def _perturbed_plans(plan, dfg):
-    """The plan, relabelled, re-clocked, and with one task's m, f or II changed."""
+    """The plan, relabelled, re-clocked, and with one task's m, f or II changed.
+
+    Each edited plan comes once under its own strategy and once as ``custom``.
+    """
     f_base = plan.kernel_base_clock_mhz
     yield plan
-    for strategy in STRATEGIES:
+    for strategy in STRATEGIES + ("custom",):
         yield plan.replace(strategy=strategy)
     for k in (f_base / 2, 2 * f_base, f_base + 1):
         yield plan.replace(kernel_base_clock_mhz=k)
@@ -387,9 +424,20 @@ def _perturbed_plans(plan, dfg):
         changes += [{"m": m, "f_mhz": m * f_base, "ii": m * ii0} for m in (1, 2, e.m + 1)]
         for change in changes:
             try:
-                yield _edit(plan, name, **change)
+                edited = _edit(plan, name, **change)
             except ValidationError:  # not a TaskPlan at all: m, ii or f out of range
-                pass
+                continue
+            yield edited
+            yield edited.replace(strategy="custom")  # the same task plans, hand-built
+
+
+def _rejection(check, *args):
+    """The message of the ``ValidationError`` that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValidationError as e:
+        return str(e)
+    return None
 
 
 def test_check_plan_agrees_with_the_oracle_on_perturbed_plans():
@@ -401,21 +449,20 @@ def test_check_plan_agrees_with_the_oracle_on_perturbed_plans():
     for name in datasets.names():
         dfg = load_dfg(datasets.path(name))
         cases.append((dfg, [Fraction(100), Fraction(1000, 7), dfg.min_f_max_mhz]))
-    verdicts = {True: 0, False: 0}
+    verdicts = {(custom, legal): 0 for custom in (True, False) for legal in (True, False)}
     for dfg, clocks in cases:
         for f in clocks:
             for strategy in STRATEGIES:
                 for plan in _perturbed_plans(make_plan(dfg, f, strategy), dfg):
                     legal = oracle_plan_ok(dfg, plan)
-                    try:
-                        check_plan(dfg, plan)
-                        accepted = True
-                    except ValidationError:
-                        accepted = False
-                    assert accepted == legal, (plan, legal)
-                    verdicts[legal] += 1
-    # both verdicts are common, so neither side passes by always agreeing
-    assert min(verdicts.values()) > 1000, verdicts
+                    message = _rejection(check_plan, dfg, plan)
+                    assert (message is None) == legal, (plan, legal)
+                    # the library simulator rejects the same plans, with the same message
+                    assert _rejection(simulate, dfg, plan, SimConfig(2, 1)) == message, plan
+                    verdicts[plan.strategy == "custom", legal] += 1
+    # every verdict is common, so no side passes by always agreeing
+    assert min(verdicts[False, True], verdicts[False, False]) > 1000, verdicts
+    assert min(verdicts[True, True], verdicts[True, False]) > 500, verdicts
 
 
 def test_plan_file_validation(tmp_path):
@@ -426,8 +473,9 @@ def test_plan_file_validation(tmp_path):
     with pytest.raises(ParseError, match=r"tasks.A.m"):
         load_plan(p)
     p.write_text('{"strategy": "warp", "kernel_base_clock_mhz": 100, "tasks": {}}')
-    with pytest.raises(ParseError, match="strategy"):
+    with pytest.raises(ParseError) as e:
         load_plan(p)
+    assert str(e.value) == "plan.strategy: expected one of base, s-pump, m-pump, custom"
 
 
 @pytest.mark.parametrize("bad", [1.5, True, 0])

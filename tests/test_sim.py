@@ -31,7 +31,7 @@ BUDGET = sim.REPEAT_SEARCH_ITERATIONS
 
 
 def chain(freqs, iis, pds, depths, n_op_dsp=None):
-    """Linear pipeline with explicit per-task plans (clock, ii)."""
+    """Linear pipeline with a hand-built ``custom`` plan of per-task (clock, ii)."""
     n = len(freqs)
     tasks = [
         Task(
@@ -46,7 +46,7 @@ def chain(freqs, iis, pds, depths, n_op_dsp=None):
     channels = [Channel(f"T{i}", f"T{i+1}", depth=depths[i]) for i in range(n - 1)]
     dfg = Dfg(tasks, channels, device_dsp_total=64)
     plan = PumpPlan(
-        "base",
+        "custom",
         {f"T{i}": TaskPlan(1, Fraction(freqs[i]), iis[i]) for i in range(n)},
         Fraction(min(freqs)),
     )
