@@ -298,6 +298,14 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+_ITERATIONS_HELP = "iterations every task fires (default: 10000)"
+_WARMUP_HELP = (
+    "leading iterations left out of the measurement "
+    "(default: min(default_warmup, iterations // 2), where default_warmup "
+    "is max(100, 10 x the deepest pipeline))"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pumpwise",
@@ -319,17 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="throughput-vs-DSP sweep over base clocks")
     p.add_argument("dfg")
-    p.add_argument("--f-lo", type=_rational, required=True, metavar="MHZ")
-    p.add_argument("--f-hi", type=_rational, required=True, metavar="MHZ")
-    p.add_argument("--step", type=_rational, required=True, metavar="MHZ")
+    p.add_argument("--f-lo", type=_rational, required=True, metavar="MHZ",
+                   help="lowest base clock of the sweep")
+    p.add_argument("--f-hi", type=_rational, required=True, metavar="MHZ",
+                   help="highest base clock of the sweep")
+    p.add_argument("--step", type=_rational, required=True, metavar="MHZ",
+                   help="base clock increment")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="measure a plan with the multi-clock simulator")
     p.add_argument("dfg")
     p.add_argument("plan", help="plan file produced by optimize")
-    p.add_argument("--iterations", type=int, default=10000)
-    p.add_argument("--warmup", type=int, default=None)
+    p.add_argument("--iterations", type=int, default=10000, help=_ITERATIONS_HELP)
+    p.add_argument("--warmup", type=int, default=None, help=_WARMUP_HELP)
     p.add_argument("--trace", default=None, help="write a CSV trace of every start and completion")
     p.set_defaults(func=cmd_simulate)
 
@@ -337,11 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dfg")
     p.add_argument("--f-base", type=_rational, required=True, metavar="MHZ")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--f-lo", type=_rational, default=None, metavar="MHZ")
-    p.add_argument("--f-hi", type=_rational, default=None, metavar="MHZ")
-    p.add_argument("--step", type=_rational, default=Fraction(5), metavar="MHZ")
-    p.add_argument("--iterations", type=int, default=10000)
-    p.add_argument("--warmup", type=int, default=None)
+    p.add_argument("--f-lo", type=_rational, default=None, metavar="MHZ",
+                   help="lowest base clock of the sweep (default: --f-base)")
+    p.add_argument("--f-hi", type=_rational, default=None, metavar="MHZ",
+                   help="highest base clock of the sweep (default: the slowest task's f_max)")
+    p.add_argument("--step", type=_rational, default=Fraction(5), metavar="MHZ",
+                   help="base clock increment (default: 5 MHz)")
+    p.add_argument("--iterations", type=int, default=10000, help=_ITERATIONS_HELP)
+    p.add_argument("--warmup", type=int, default=None, help=_WARMUP_HELP)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -153,8 +153,13 @@ def _make_plans(
     computed once, however many plans are built.
     """
     for strategy in strategies:
-        if strategy not in STRATEGIES:
+        if strategy not in _RULES:
             raise ValidationError(f"unknown strategy: {strategy}")
+        if strategy not in STRATEGIES:
+            raise ValidationError(
+                f"the planner builds only {', '.join(STRATEGIES)}; "
+                f"{strategy} plans are built by hand"
+            )
     f_base = as_fraction(f_base_mhz)
     if f_base <= 0:
         raise ValidationError("f_base_mhz must be positive")

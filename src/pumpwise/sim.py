@@ -26,6 +26,13 @@ start is retried and no acyclic graph can stall.  The state is each
 task's previous start and, per FIFO of depth d, the last d consumer
 starts, so without a trace memory does not grow with ``iterations``.
 
+A FIFO's occupancy right after a completion pushes its token is that
+token plus one per consumer start in its window of last starts that
+comes at or after the completion.  Every peak is at least 1, since each
+producer's first completion leaves a token, and the window is in
+ascending order, so the occupancy is counted only when the newest
+consumer start in the window is at or after the completion.
+
 The timeline is integer picoseconds with clock periods rounded to the
 nearest picosecond, ties to even.  An event has a key, 2*i for a
 completion of task i and 2*i + 1 for a start, and the events of one
@@ -194,7 +201,9 @@ def simulate(
     # latest token time per channel, written by the producer's start k and
     # read by the consumer's start k later in the same iteration
     token = [0] * nchan
-    peak = [0] * nchan
+    # iterations >= 1 and every completion comes after time 0, so each
+    # producer's first completion leaves one token in each of its FIFOs
+    peak = [1] * nchan
     # the II term of start 0 is 0
     last = [-ii_ps[i] * K for i in range(ntasks)]
     history = [[] for _ in range(ntasks)] if trace_path is not None else None
@@ -311,11 +320,15 @@ def _advance(steps, n, K, last, token, peak) -> None:
             if record is not None:
                 record(x)
             # FIFO occupancy right after this start's completion pushes its
-            # token: that token plus one per consumer start that comes later
+            # token: that token plus one per consumer start that comes later.
+            # Every peak is at least 1, and q is in ascending order, so the
+            # occupancy can exceed 1 only if q's newest start is at or after
+            # the completion; a depth-1 q is empty here, and peak[c] < d is
+            # false for it, so q[-1] is read only when q holds a start
             done = t + pd
             for c, q, d in outs:
                 token[c] = done
-                if peak[c] < d:
+                if peak[c] < d and q[-1] >= done:
                     occ = 1
                     for y in reversed(q):
                         if y < done:

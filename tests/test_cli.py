@@ -278,6 +278,30 @@ def test_short_runs_cap_the_default_warmup(capsys, tmp_path):
     assert "warmup must satisfy" in err
 
 
+@pytest.mark.parametrize("command,options", [
+    ("simulate", ["--iterations", "--warmup"]),
+    ("report", ["--f-lo", "--f-hi", "--step", "--iterations", "--warmup"]),
+    ("sweep", ["--f-lo", "--f-hi", "--step"]),
+])
+def test_help_describes_every_option(capsys, command, options):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == EXIT_OK
+    # each option's line goes on with its help text, not straight to the next option
+    lines = out.splitlines()
+    for opt in options:
+        i = next(i for i, l in enumerate(lines) if l.lstrip().startswith(f"{opt} "))
+        rest = lines[i].split(None, 2)[2:] or [lines[i + 1].strip()]
+        assert not rest[0].startswith("-"), (command, opt)
+    text = " ".join(out.split())
+    if "--iterations" in options:
+        assert "(default: 10000)" in text
+        assert "(default: min(default_warmup, iterations // 2)" in text
+    if command == "report":
+        for default in ("(default: --f-base)", "(default: the slowest task's f_max)",
+                        "(default: 5 MHz)"):
+            assert default in text
+
+
 def test_invalid_warmup_exits_without_window_warning(capsys, tmp_path):
     # the config is rejected when built, before any window arithmetic
     plan = tmp_path / "m.plan"

@@ -34,7 +34,7 @@ from pumpwise import (
     sweep,
     task_throughput,
 )
-from pumpwise.planner import STRATEGIES, plan_from_dict
+from pumpwise.planner import STRATEGIES, _make_plans, plan_from_dict
 from oracles import oracle_plan_ok
 from conftest import feasible_f_base, random_ddg, random_pipeline_dfg
 
@@ -135,6 +135,26 @@ def test_make_plan_infeasible_and_bad_strategy():
         make_plan(dfg, 600, "m-pump")
     with pytest.raises(ValidationError, match="unknown strategy"):
         make_plan(dfg, 165, "turbo")
+
+
+def test_make_plan_says_custom_plans_are_built_by_hand():
+    # ``custom`` is a known strategy that plan files and check_plan accept,
+    # so the planner names what it builds instead of calling it unknown
+    dfg = load_dfg(datasets.path("conv2d.json"))
+    for strategies in (("custom",), ("base", "custom")):
+        with pytest.raises(ValidationError) as e:
+            _make_plans(dfg, 165, strategies)
+        assert type(e.value) is ValidationError
+        assert str(e.value) == (
+            "the planner builds only base, s-pump, m-pump; custom plans are built by hand"
+        )
+    with pytest.raises(ValidationError) as e:
+        make_plan(dfg, 165, "custom")
+    assert "built by hand" in str(e.value)
+    # names outside the rule table stay unknown, ahead of any other check
+    with pytest.raises(ValidationError) as e:
+        make_plan(dfg, 0, "turbo")
+    assert str(e.value) == "unknown strategy: turbo"
 
 
 def test_throughput_preserved_across_strategies():

@@ -470,6 +470,29 @@ def test_repeat_window_ends_anywhere_in_the_period(tmp_path, monkeypatch, counte
     assert periodic >= 5
 
 
+def test_multi_clock_runs_without_repeat_match_oracle(counted):
+    # multi-clock m-pump plans whose rounded periods have so large an lcm
+    # that no repeat is found and all 2 000 iterations are computed, so
+    # every peak comes from the occupancy count after each push
+    rng = random.Random(0xB0B)
+    seen = set()  # (depth, capped at 2; peak)
+    for _ in range(20):
+        dfg, f_base = random_shallow_dfg(rng)
+        plan = make_plan(dfg, f_base, "m-pump")
+        if len({e.f_mhz for e in plan.tasks.values()}) < 2:
+            continue
+        cfg = SimConfig(2000, rng.randrange(2000))
+        ours = counted(dfg, plan, cfg)
+        if counted.computed[-1] < cfg.iterations:
+            continue
+        ref = oracle_simulate(dfg, plan, cfg)
+        assert ours.throughput_msps == ref.throughput_msps
+        assert ours.peaks == tuple(c.peak_occupancy for c in ref.channels)
+        seen.update((min(ch.depth, 2), peak) for ch, peak in zip(dfg.channels, ours.peaks))
+    # depth-1 FIFOs, and deeper ones that stay at one token or reach two
+    assert {(1, 1), (2, 1), (2, 2)} <= seen
+
+
 def test_repeat_reaches_a_billion_iterations():
     dfg = load_dfg(datasets.path("conv2d.json"))
     plan = make_plan(dfg, 165, "base")
