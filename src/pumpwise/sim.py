@@ -23,15 +23,17 @@ after the latest of
 Every term refers to an earlier iteration or an upstream task, so tasks
 are computed once each, in topological order inside each iteration: no
 start is retried and no acyclic graph can stall.  The state is each
-task's previous start and, per FIFO of depth d, the last d consumer
-starts, so without a trace memory does not grow with ``iterations``.
+task's previous start, its latest completion (one token for all its
+consumers) and, if it has inputs, a window of its last D starts, D its
+deepest input FIFO, so without a trace memory does not grow with
+``iterations``.
 
-A FIFO's occupancy right after a completion pushes its token is that
-token plus one per consumer start in its window of last starts that
+A depth-d FIFO's occupancy right after a completion pushes its token is
+that token plus one per start among its consumer's d - 1 newest that
 comes at or after the completion.  Every peak is at least 1, since each
-producer's first completion leaves a token, and the window is in
-ascending order, so the occupancy is counted only when the newest
-consumer start in the window is at or after the completion.
+producer's first completion leaves a token, and the starts are in
+ascending order, so the occupancy is counted only when the consumer's
+newest start is at or after the completion.
 
 The timeline is integer picoseconds with clock periods rounded to the
 nearest picosecond, ties to even.  An event has a key, 2*i for a
@@ -164,14 +166,11 @@ def simulate(
 ) -> SimReport:
     """Check a plan as ``check_plan`` does, run it and measure steady-state throughput."""
     check_plan(dfg, plan)
-    iterations = cfg.iterations
-    warmup = cfg.warmup
+    iterations, warmup = cfg.iterations, cfg.warmup
 
     ntasks = len(dfg.tasks)
     index = {t.name: i for i, t in enumerate(dfg.tasks)}
-    period = []
-    ii_ps = []
-    pd_ps = []
+    period, ii_ps, pd_ps = [], [], []
     for t in dfg.tasks:
         entry = plan.tasks[t.name]
         p = _period_ps(entry.f_mhz)
@@ -183,27 +182,29 @@ def simulate(
     # t*K + key also orders the events of one picosecond: a start's tie key
     # is the largest of its own and those of the same-time events it waits for.
     K = 2 * ntasks
-    nchan = len(dfg.channels)
-    # per channel, the consumer starts k-d .. k-1 that free the producer's
-    # next slots, oldest first; the d slots of an empty FIFO are free at 0
-    free = []
-    ins = [[] for _ in range(ntasks)]
-    outs = [[] for _ in range(ntasks)]
-    is_sink = [True] * ntasks
+    # each task q with inputs keeps a window of its last D starts, oldest
+    # first, D its deepest input FIFO.  At a producer's start k, q has not
+    # yet started k, so recent[q][-d] is q's start k-d; zeros are free slots
+    depth = [0] * ntasks
+    for ch in dfg.channels:
+        q = index[ch.dst]
+        depth[q] = max(depth[q], ch.depth)
+    recent = [deque([0] * d, d) if d else None for d in depth]
+    # per task its producers, each output's slot term (recent[q], -d) and the
+    # outputs deeper than 1, the only FIFOs whose peak can exceed 1
+    prods, slots, outs = ([[] for _ in range(ntasks)] for _ in range(3))
     for c, ch in enumerate(dfg.channels):
         p, q, d = index[ch.src], index[ch.dst], ch.depth
-        slots = deque([0] * d)
-        free.append(slots)
-        ins[q].append((c, slots))
-        outs[p].append((c, slots, d))
-        is_sink[p] = False
-    sinks = [i for i in range(ntasks) if is_sink[i]]
-    # latest token time per channel, written by the producer's start k and
-    # read by the consumer's start k later in the same iteration
-    token = [0] * nchan
+        prods[q].append(p)
+        slots[p].append((recent[q], -d))
+        if d > 1:
+            outs[p].append((c, recent[q], d))
+    sinks = [i for i in range(ntasks) if not slots[i]]
+    # latest completion per task, read by its consumers later in the iteration
+    token = [0] * ntasks
     # iterations >= 1 and every completion comes after time 0, so each
     # producer's first completion leaves one token in each of its FIFOs
-    peak = [1] * nchan
+    peak = [1] * len(dfg.channels)
     # the II term of start 0 is 0
     last = [-ii_ps[i] * K for i in range(ntasks)]
     history = [[] for _ in range(ntasks)] if trace_path is not None else None
@@ -214,8 +215,10 @@ def simulate(
             ii_ps[i] * K,
             pd_ps[i] * K + 2 * i,  # from a start to its completion, key 2*i
             2 * i + 1,
-            tuple(ins[i]),
+            tuple(prods[i]),
+            tuple(slots[i]),
             tuple(outs[i]),
+            None if recent[i] is None else recent[i].append,
             None if history is None else history[i].append,
         )
         for i in dfg.task_order
@@ -242,9 +245,9 @@ def simulate(
     run(min(limit, (L - last[0]) // (ii_ps[0] * K) + 1))
 
     # ``token`` is rewritten by each producer before its consumers read
-    # it, so the state is ``last`` and the ``free`` deques
+    # it, so the state is ``last`` and the windows, none of them empty
     def shifted(base):
-        return [v - base for v in chain(last, *free)]
+        return [v - base for v in chain(last, *filter(None, recent))]
 
     power = 1
     ck_done = done
@@ -294,14 +297,14 @@ def simulate(
 def _advance(steps, n, K, last, token, peak) -> None:
     """Run n iterations of the start-time recurrence."""
     for _ in range(n):
-        for i, per, ii, pd, key, ins, outs, record in steps:
-            # the latest of the II spacing, every input token and every free slot
+        for i, per, ii, pd, key, prods, slots, outs, push, record in steps:
+            # the latest of the II spacing, each input token and each free slot w[nd]
             x = last[i] + ii
-            for c, _ in ins:
-                if token[c] > x:
-                    x = token[c]
-            for _, q, _ in outs:
-                y = q.popleft()
+            for p in prods:
+                if token[p] > x:
+                    x = token[p]
+            for w, nd in slots:
+                y = w[nd]
                 if y > x:
                     x = y
             # the first clock edge at or after it; the tie key survives only
@@ -315,23 +318,20 @@ def _advance(steps, n, K, last, token, peak) -> None:
                 if r < key:
                     x = t + key
             last[i] = t
-            for _, q in ins:
-                q.append(x)
+            if push is not None:
+                push(x)
             if record is not None:
                 record(x)
             # FIFO occupancy right after this start's completion pushes its
-            # token: that token plus one per consumer start that comes later.
-            # Every peak is at least 1, and q is in ascending order, so the
-            # occupancy can exceed 1 only if q's newest start is at or after
-            # the completion; a depth-1 q is empty here, and peak[c] < d is
-            # false for it, so q[-1] is read only when q holds a start
-            done = t + pd
-            for c, q, d in outs:
-                token[c] = done
-                if peak[c] < d and q[-1] >= done:
-                    occ = 1
-                    for y in reversed(q):
-                        if y < done:
+            # token: that token plus one per consumer start k-d+1 .. k-1 that
+            # comes later.  Every peak is at least 1, only FIFOs with d > 1 are
+            # here, and w ascends, so it can exceed 1 only if w[-1] >= done
+            done = token[i] = t + pd
+            for c, w, d in outs:
+                if peak[c] < d and w[-1] >= done:
+                    occ = 2
+                    for j in range(2, d):
+                        if w[-j] < done:
                             break
                         occ += 1
                     if occ > peak[c]:

@@ -17,6 +17,7 @@ def test_demo_runs(demo, tmp_path):
     # demos may write files (the sweep CSVs) into their working directory
     env = dict(os.environ, PYTHONPATH=str(Path(pumpwise.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env,
+        timeout=120,  # a hung demo fails instead of holding the suite
     )
     assert proc.returncode == 0, proc.stderr

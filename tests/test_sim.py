@@ -476,6 +476,10 @@ def test_multi_clock_runs_without_repeat_match_oracle(counted):
     # every peak comes from the occupancy count after each push
     rng = random.Random(0xB0B)
     seen = set()  # (depth, capped at 2; peak)
+    # some consumer has inputs of two depths, so one producer reads its window
+    # of starts at [-d] with d below the window's length, and some has two
+    # equal-depth inputs from different producers, which read the same entry
+    mixed_depths = shared_depth = False
     for _ in range(20):
         dfg, f_base = random_shallow_dfg(rng)
         plan = make_plan(dfg, f_base, "m-pump")
@@ -489,8 +493,15 @@ def test_multi_clock_runs_without_repeat_match_oracle(counted):
         assert ours.throughput_msps == ref.throughput_msps
         assert ours.peaks == tuple(c.peak_occupancy for c in ref.channels)
         seen.update((min(ch.depth, 2), peak) for ch, peak in zip(dfg.channels, ours.peaks))
+        producers = {}  # (consumer, depth) -> producers of its FIFOs of that depth
+        for ch in dfg.channels:
+            producers.setdefault((ch.dst, ch.depth), set()).add(ch.src)
+        consumers = [dst for dst, _ in producers]
+        mixed_depths |= len(consumers) > len(set(consumers))
+        shared_depth |= any(len(ps) > 1 for ps in producers.values())
     # depth-1 FIFOs, and deeper ones that stay at one token or reach two
     assert {(1, 1), (2, 1), (2, 2)} <= seen
+    assert mixed_depths and shared_depth
 
 
 def test_repeat_reaches_a_billion_iterations():
